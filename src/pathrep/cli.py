@@ -28,7 +28,8 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _write_manifest(outdir, subcommand, config, inputs, outputs, seed, started):
+def _write_manifest(outdir, subcommand, config, inputs, outputs, seed, started,
+                    counters=None):
     config = {k: v for k, v in config.items()
               if isinstance(v, (str, int, float, bool, type(None)))}
     manifest = {
@@ -39,6 +40,8 @@ def _write_manifest(outdir, subcommand, config, inputs, outputs, seed, started):
         "outputs": {p: _digest(p) for p in outputs if os.path.isfile(p)},
         "wall_seconds": round(time.time() - started, 3),
     }
+    if counters is not None:
+        manifest["counters"] = counters
     path = os.path.join(outdir, f"manifest_{subcommand}.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -109,34 +112,30 @@ def _negatives_to_records(neg_sets):
             for i, ns in enumerate(neg_sets)]
 
 
-def _load_negatives(path, corpus):
+def _load_negatives(path, g, corpus):
+    """Negative sets: one record per corpus path, ``path_id`` 0..N-1 in
+    order, every negative a valid path of ``g``."""
     neg_sets = []
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            neg_sets.append(sampling.NegativeSet(
-                input_path=corpus[rec["path_id"]],
-                negatives=tuple(graph.Path(nodes=tuple(n)) for n in rec["negatives"]),
-                overlaps=tuple(rec["overlaps"]),
-                kinds=tuple(rec["kinds"]),
-                backfilled=rec["backfilled"]))
-    return neg_sets
-
-
-def make_negatives(corpus, g, seed, k=4, taus=(0.6, 0.9), strategy="curriculum"):
-    neg_sets = []
-    for i, path in enumerate(corpus):
-        sub_seed = seed * 1_000_003 + i
-        if strategy == "curriculum":
-            ns = sampling.sample_negatives(path, corpus, g, sub_seed, k=k, taus=taus)
-        elif strategy == "random":
-            ns = sampling.sample_negatives_random(path, corpus, sub_seed, k=k)
-        elif strategy == "topk":
-            ns = sampling.sample_negatives_topk(path, corpus, g, sub_seed, k=k,
-                                                tau=max(taus))
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        neg_sets.append(ns)
+        for i, line in enumerate(fh):
+            try:
+                rec = json.loads(line)
+                if i >= len(corpus) or rec["path_id"] != i:
+                    raise ValueError(f"path_id {rec['path_id']} for "
+                                     f"{len(corpus)} corpus paths")
+                negatives = tuple(graph.validate_path(g, n) for n in rec["negatives"])
+                if not len(negatives) == len(rec["overlaps"]) == len(rec["kinds"]):
+                    raise ValueError("negatives, overlaps and kinds differ in length")
+                neg_sets.append(sampling.NegativeSet(
+                    input_path=corpus[i], negatives=negatives,
+                    overlaps=tuple(rec["overlaps"]), kinds=tuple(rec["kinds"]),
+                    backfilled=rec["backfilled"]))
+            except (KeyError, TypeError, ValueError, graph.PathError) as exc:
+                raise ValueError(f"{path}: record {i}: {type(exc).__name__}: "
+                                 f"{exc}") from None
+    if len(neg_sets) != len(corpus):
+        raise ValueError(f"{path}: {len(neg_sets)} records for "
+                         f"{len(corpus)} corpus paths")
     return neg_sets
 
 
@@ -186,13 +185,16 @@ def cmd_negatives(args):
     started = time.time()
     g = graph.load_graph(args.graph)
     corpus = _load_corpus(g, args.paths)
-    neg_sets = make_negatives(corpus, g, args.seed, k=args.k,
-                              taus=(args.tau1, args.tau2), strategy=args.strategy)
+    counters = {}
+    neg_sets = sampling.make_negatives(corpus, g, args.seed, k=args.k,
+                                       taus=(args.tau1, args.tau2),
+                                       strategy=args.strategy, counters=counters)
     with open(args.out, "w") as fh:
         for rec in _negatives_to_records(neg_sets):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _write_manifest(os.path.dirname(args.out) or ".", "negatives", vars(args),
-                    [args.graph, args.paths], [args.out], args.seed, started)
+                    [args.graph, args.paths], [args.out], args.seed, started,
+                    counters=counters)
     print(f"negatives: wrote {len(neg_sets)} sets to {args.out}")
     return 0
 
@@ -202,7 +204,7 @@ def cmd_train(args):
     g = graph.load_graph(args.graph)
     features = graph.load_features(args.features)
     corpus = _load_corpus(g, args.paths)
-    neg_sets = _load_negatives(args.negatives, corpus)
+    neg_sets = _load_negatives(args.negatives, g, corpus)
     if args.k < max(ns.k for ns in neg_sets):
         neg_sets = [sampling.NegativeSet(ns.input_path, ns.negatives[:args.k],
                                          ns.overlaps[:args.k], ns.kinds[:args.k],
@@ -326,7 +328,8 @@ def cmd_ablate(args):
         for seed in seeds:
             k = overrides.get("k", args.k)
             strategy = overrides.get("strategy", "curriculum")
-            neg_sets = make_negatives(corpus, g, seed, k=k, strategy=strategy)
+            neg_sets = sampling.make_negatives(corpus, g, seed, k=k,
+                                               strategy=strategy)
             cfg = training.TrainConfig(
                 epochs=args.epochs, lr=args.lr, k=k,
                 mode=overrides.get("mode", "joint"),

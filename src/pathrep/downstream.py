@@ -8,7 +8,6 @@ hyperparameter optimization).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 class SingularSystem(Exception):
@@ -116,6 +115,8 @@ def rank_metrics(pred, truth, groups):
 
     Groups of size 1 are skipped and counted.
     """
+    from scipy import stats     # slow to import; no other function needs it
+
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     groups = np.asarray(groups)

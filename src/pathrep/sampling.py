@@ -21,6 +21,17 @@ class NoPath(Exception):
         super().__init__(f"no path from {s} to {d}")
 
 
+class SearchLimit(NoPath):
+    """The path stream popped ``max_pops`` partial paths and gave up."""
+
+    def __init__(self, s, d, pops):
+        super().__init__(s, d)
+        self.pops = pops
+
+    def __str__(self):
+        return f"search from {self.s} to {self.d} stopped after {self.pops} pops"
+
+
 class EmptyPartition(Exception):
     pass
 
@@ -56,17 +67,18 @@ def shortest_path_stream(g, s, d, max_pops=2_000_000):
     Best-first enumeration over partial paths.  Keys popped from the heap
     are monotonically non-decreasing, so yields come out sorted exactly
     like a brute-force enumeration sorted by total length with ties broken
-    lexicographically on the node sequence.
+    lexicographically on the node sequence.  Raises SearchLimit once
+    ``max_pops`` partial paths have been popped with more still queued.
     """
     if s == d:
         raise ValueError("source equals destination")
     heap = [(0.0, (s,))]
     pops = 0
     while heap:
+        if pops == max_pops:
+            raise SearchLimit(s, d, pops)
         length, nodes = heapq.heappop(heap)
         pops += 1
-        if pops > max_pops:
-            return
         last = nodes[-1]
         if last == d:
             yield Path(nodes=nodes), length
@@ -126,54 +138,73 @@ def diversified_top_k(g, s, d, cfg, max_candidates=5000):
     return accepted, False
 
 
-def input_overlap(input_path, other):
-    return path_similarity(input_path, other)
+def _plan(strategy, k, taus):
+    """(random draws, tau of each diversified pick) for one strategy."""
+    if strategy == "curriculum":
+        n_random = max(1, (k + 1) // 2)
+        return n_random, [taus[j % len(taus)] for j in range(k - n_random)]
+    if strategy == "random":
+        return k, []
+    if strategy == "topk":
+        return 0, [max(taus)] * k
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _alternatives(g, s, d, cfg, max_candidates, searches):
+    """Diversified s->d candidates, memoised in ``searches``; a search that
+    hit the enumeration limit is stored as None."""
+    key = (s, d, cfg, max_candidates)
+    if key not in searches:
+        try:
+            searches[key], _ = diversified_top_k(g, s, d, cfg,
+                                                 max_candidates=max_candidates)
+        except SearchLimit:
+            searches[key] = None
+        except NoPath:
+            searches[key] = []
+    return searches[key] or []
 
 
 def sample_negatives(input_path, corpus, g, seed, k=4, taus=(0.6, 0.9),
-                     max_candidates=2000):
+                     strategy="curriculum", max_candidates=2000, searches=None):
     """Build the negative set for one input path.
 
-    With the default k=4: two random corpus paths plus one same-OD path
-    per diversity threshold; the result is sorted by overlap with the
-    input (non-decreasing).  Missing diversified candidates are backfilled
-    with extra random paths and the set is flagged.
+    The strategy sets the mix of easy random corpus paths and hard same-OD
+    alternatives from the diversified top-k stream:
 
-    For k != 4 the split keeps the same half/half spirit: ceil(k/2) random
-    negatives, the rest diversified using ``taus`` cyclically.
+    - ``curriculum``: ceil(k/2) random paths (at least one), the rest
+      diversified, their thresholds taken from ``taus`` in turn;
+    - ``random``: k random paths;
+    - ``topk``: k diversified paths, all at ``max(taus)``.
+
+    A diversified pick with no unused alternative left is replaced by a
+    random "backfill" path, and the set is flagged.  The result is sorted
+    by overlap with the input (non-decreasing, stable).  ``searches`` is a
+    dict that memoises the top-k searches across calls.
     """
+    n_random, pick_taus = _plan(strategy, k, taus)
     rng = np.random.default_rng(seed)
     pool = [p for p in corpus if p.nodes != input_path.nodes]
     if len(pool) < 2:
         raise ValueError("corpus must contain at least 2 paths besides the input")
 
-    n_random = (k + 1) // 2 if k > 1 else 1
-    n_div = k - n_random
+    chosen = []
+    if n_random:
+        idx = rng.choice(len(pool), size=min(n_random, len(pool)), replace=False)
+        if strategy == "curriculum":
+            idx = sorted(idx)       # corpus order; random keeps draw order
+        chosen = [(pool[int(i)], "random") for i in idx]
 
-    idx = rng.choice(len(pool), size=min(n_random, len(pool)), replace=False)
-    chosen = [(pool[i], "random") for i in sorted(int(j) for j in idx)]
-
-    backfilled = False
-    div_paths = []
-    for j in range(n_div):
-        tau = taus[j % len(taus)]
-        try:
-            cands, _ = diversified_top_k(
-                g, input_path.source, input_path.destination,
-                DiversityConfig(k=4, tau_div=tau), max_candidates=max_candidates)
-        except NoPath:
-            cands = []
-        pick = None
-        taken = {p.nodes for p, _ in div_paths}
-        for c in cands:
-            if c.nodes != input_path.nodes and c.nodes not in taken:
-                pick = c
-                break
-        if pick is None:
-            backfilled = True
-        else:
-            div_paths.append((pick, "diversified"))
-    chosen.extend(div_paths)
+    searches = {} if searches is None else searches
+    for tau in pick_taus:
+        cands = _alternatives(g, input_path.source, input_path.destination,
+                              DiversityConfig(k=len(pick_taus) + 1, tau_div=tau),
+                              max_candidates, searches)
+        taken = {p.nodes for p, kind in chosen if kind == "diversified"}
+        taken.add(input_path.nodes)
+        pick = next((c for c in cands if c.nodes not in taken), None)
+        if pick is not None:
+            chosen.append((pick, "diversified"))
 
     while len(chosen) < k:
         taken = {p.nodes for p, _ in chosen}
@@ -181,64 +212,37 @@ def sample_negatives(input_path, corpus, g, seed, k=4, taus=(0.6, 0.9),
         if not avail:
             break
         chosen.append((avail[int(rng.integers(len(avail)))], "backfill"))
-        backfilled = True
 
-    annotated = [(input_overlap(input_path, p), p, kind) for p, kind in chosen]
-    annotated.sort(key=lambda t: t[0])
+    annotated = sorted(((path_similarity(input_path, p), p, kind)
+                        for p, kind in chosen), key=lambda t: t[0])
+    kinds = tuple(kind for _, _, kind in annotated)
     return NegativeSet(
         input_path=input_path,
         negatives=tuple(p for _, p, _ in annotated),
         overlaps=tuple(ov for ov, _, _ in annotated),
-        kinds=tuple(kind for _, _, kind in annotated),
-        backfilled=backfilled,
+        kinds=kinds,
+        backfilled="backfill" in kinds,
     )
 
 
-def sample_negatives_random(input_path, corpus, seed, k=4):
-    """Ablation strategy: all k negatives drawn uniformly from the corpus."""
-    rng = np.random.default_rng(seed)
-    pool = [p for p in corpus if p.nodes != input_path.nodes]
-    idx = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
-    negs = [pool[int(i)] for i in idx]
-    annotated = sorted(((input_overlap(input_path, p), p) for p in negs),
-                       key=lambda t: t[0])
-    return NegativeSet(
-        input_path=input_path,
-        negatives=tuple(p for _, p in annotated),
-        overlaps=tuple(ov for ov, _ in annotated),
-        kinds=tuple("random" for _ in annotated),
-        backfilled=len(annotated) < k,
-    )
+def make_negatives(corpus, g, seed, k=4, taus=(0.6, 0.9), strategy="curriculum",
+                   counters=None):
+    """Negative sets for every corpus path; path i draws with seed
+    ``seed * 1_000_003 + i``.
 
-
-def sample_negatives_topk(input_path, corpus, g, seed, k=4, tau=0.9,
-                          max_candidates=2000):
-    """Ablation strategy: all k negatives from the diversified same-OD stream."""
-    rng = np.random.default_rng(seed)
-    try:
-        cands, _ = diversified_top_k(
-            g, input_path.source, input_path.destination,
-            DiversityConfig(k=k + 1, tau_div=tau), max_candidates=max_candidates)
-    except NoPath:
-        cands = []
-    negs = [(c, "diversified") for c in cands if c.nodes != input_path.nodes][:k]
-    backfilled = len(negs) < k
-    pool = [p for p in corpus if p.nodes != input_path.nodes]
-    while len(negs) < k and pool:
-        taken = {p.nodes for p, _ in negs}
-        avail = [p for p in pool if p.nodes not in taken]
-        if not avail:
-            break
-        negs.append((avail[int(rng.integers(len(avail)))], "backfill"))
-    annotated = sorted(((input_overlap(input_path, p), p, kind)
-                        for p, kind in negs), key=lambda t: t[0])
-    return NegativeSet(
-        input_path=input_path,
-        negatives=tuple(p for _, p, _ in annotated),
-        overlaps=tuple(ov for ov, _, _ in annotated),
-        kinds=tuple(kind for _, _, kind in annotated),
-        backfilled=backfilled,
-    )
+    Each top-k search runs at most once per call.  If ``counters`` is a
+    dict, it receives ``backfilled_sets`` and ``search_limit_od``, the
+    number of OD pairs whose search hit the enumeration limit.
+    """
+    searches = {}
+    neg_sets = [sample_negatives(path, corpus, g, seed * 1_000_003 + i, k=k,
+                                 taus=taus, strategy=strategy, searches=searches)
+                for i, path in enumerate(corpus)]
+    if counters is not None:
+        counters["backfilled_sets"] = sum(ns.backfilled for ns in neg_sets)
+        counters["search_limit_od"] = len({key[:2] for key, found in searches.items()
+                                           if found is None})
+    return neg_sets
 
 
 def curriculum_schedule(stage, ns, staged=True):

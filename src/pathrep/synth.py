@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Path, build_graph, validate_path
-from .sampling import NoPath, shortest_path_stream
+from .sampling import NoPath, SearchLimit, shortest_path_stream
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,15 @@ def gen_paths(g, cfg):
             continue
         shortest, base_len = first
         variants = [shortest]
-        for path, length in stream:
-            if length > cfg.detour_factor * base_len:
-                break
-            if len(variants) >= cfg.variants_per_od:
-                break
-            variants.append(path)
+        try:
+            for path, length in stream:
+                if length > cfg.detour_factor * base_len:
+                    break
+                if len(variants) >= cfg.variants_per_od:
+                    break
+                variants.append(path)
+        except SearchLimit:
+            pass                # keep the variants found before the limit
         for p in variants:
             if len(corpus) >= cfg.n_paths:
                 break

@@ -14,13 +14,15 @@ import pytest
 
 from pathrep import downstream, features, infomax, sampling, synth, training
 from pathrep.autodiff import Tape
-from pathrep.cli import main, make_negatives
+from pathrep.cli import main
 from pathrep.encoder import WEIGHT_KEYS, encode_on_tape, init_encoder
 from pathrep.graph import Path, build_graph, initial_view
 from pathrep.sampling import (
-    DiversityConfig, diversified_top_k, k_shortest_paths, node_partition,
-    path_similarity,
+    DiversityConfig, diversified_top_k, k_shortest_paths, make_negatives,
+    node_partition, path_similarity,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(num, ok, detail):

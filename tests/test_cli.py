@@ -55,6 +55,48 @@ def test_negatives_records(pipeline):
         assert rec["overlaps"] == sorted(rec["overlaps"])
 
 
+def test_negatives_manifest_counters(pipeline):
+    _, data, *_ = pipeline
+    manifest = json.load(open(os.path.join(data, "manifest_negatives.json")))
+    records = [json.loads(line) for line in open(os.path.join(data, "negatives.jsonl"))]
+    assert manifest["counters"] == {
+        "backfilled_sets": sum(rec["backfilled"] for rec in records),
+        "search_limit_od": 0}
+
+
+def _corrupt(records, case):
+    if case == "non-edge hop":
+        records[3]["negatives"][0] = records[3]["negatives"][0][::2]
+    elif case == "unknown node":
+        records[3]["negatives"][1][-1] = 999
+    elif case == "missing record":
+        del records[3]
+    else:
+        del records[-1]
+    return records
+
+
+@pytest.mark.parametrize("case,message", [
+    ("non-edge hop", "record 3: MissingEdge"),
+    ("unknown node", "record 3: PathError: unknown node 999"),
+    ("missing record", "record 3: ValueError: path_id 4"),
+    ("missing last record", "29 records for 30 corpus paths"),
+])
+def test_train_rejects_corrupt_negatives(pipeline, tmp_path, capsys, case, message):
+    root, data, feats, negs, _, _ = pipeline
+    records = [json.loads(line) for line in open(negs)]
+    bad = str(tmp_path / "negatives.jsonl")
+    with open(bad, "w") as fh:
+        for rec in _corrupt(records, case):
+            fh.write(json.dumps(rec) + "\n")
+    assert main(["train", "--graph", f"{data}/graph.csv", "--features", feats,
+                 "--paths", f"{data}/paths.txt", "--negatives", bad,
+                 "--epochs", "1", "--dim-out", "4", "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{bad}: {message}" in err
+
+
 def test_train_losstrace(pipeline):
     root, *_ = pipeline
     lines = open(root / "ckpt" / "losstrace.csv").read().splitlines()

@@ -1,14 +1,18 @@
+import functools
+import hashlib
+import json
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from pathrep import sampling
 from pathrep.graph import Path, build_graph, validate_path
 from pathrep.sampling import (
-    DiversityConfig, EmptyPartition, NoPath, curriculum_schedule,
-    diversified_top_k, k_shortest_paths, node_partition, path_similarity,
-    sample_negatives, sample_negatives_random, sample_negatives_topk,
-    shortest_path_stream,
+    DiversityConfig, EmptyPartition, NoPath, SearchLimit, curriculum_schedule,
+    diversified_top_k, k_shortest_paths, make_negatives, node_partition,
+    path_similarity, sample_negatives, shortest_path_stream,
 )
 
 
@@ -162,13 +166,99 @@ def test_negatives_deterministic(small_grid):
 
 def test_negatives_alternative_strategies(small_grid):
     g, corpus, _ = small_grid
-    r = sample_negatives_random(corpus[0], corpus, seed=1)
-    assert all(k == "random" for k in r.kinds)
-    t = sample_negatives_topk(corpus[0], corpus, g, seed=1)
+    r = sample_negatives(corpus[0], corpus, g, seed=1, strategy="random")
+    assert r.kinds == ("random",) * 4
+    t = sample_negatives(corpus[0], corpus, g, seed=1, strategy="topk")
+    assert "random" not in t.kinds
     for p, kind in zip(t.negatives, t.kinds):
         if kind == "diversified":
             assert (p.source, p.destination) == (corpus[0].source,
                                                  corpus[0].destination)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        sample_negatives(corpus[0], corpus, g, seed=1, strategy="hardest")
+
+
+# First 16 hex digits of the SHA-256 of make_negatives' records on the
+# small_grid corpus, recorded before the three strategies shared one sampler.
+PINNED_DIGESTS = {
+    ("curriculum", 1, 0): "17f8c6c5d2bcae4a", ("curriculum", 1, 3): "25a9f7e92c77bbd4",
+    ("curriculum", 2, 0): "886c02b710913e2f", ("curriculum", 2, 3): "6168d6232cbdbd54",
+    ("curriculum", 4, 0): "f7edbcdabc6b0294", ("curriculum", 4, 3): "5e708bb649ffedd4",
+    ("random", 1, 0): "17f8c6c5d2bcae4a", ("random", 1, 3): "25a9f7e92c77bbd4",
+    ("random", 2, 0): "8fc8458b7e953420", ("random", 2, 3): "732d82daa7be7f0c",
+    ("random", 4, 0): "12a3e6d2306e0c7d", ("random", 4, 3): "ca8c79737dbb14e8",
+    ("topk", 1, 0): "02b04f33b5054bc3", ("topk", 1, 3): "02b04f33b5054bc3",
+    ("topk", 2, 0): "9da747573859b488", ("topk", 2, 3): "9da747573859b488",
+    ("topk", 4, 0): "4799d0000e8f02a6", ("topk", 4, 3): "4799d0000e8f02a6",
+}
+
+
+@pytest.mark.parametrize("strategy,k,seed", sorted(PINNED_DIGESTS))
+def test_make_negatives_pinned_digest(small_grid, strategy, k, seed):
+    g, corpus, _ = small_grid
+    h = hashlib.sha256()
+    for ns in make_negatives(corpus, g, seed, k=k, strategy=strategy):
+        h.update(json.dumps([[list(p.nodes) for p in ns.negatives],
+                             list(ns.overlaps), list(ns.kinds),
+                             ns.backfilled]).encode() + b"\n")
+    assert h.hexdigest()[:16] == PINNED_DIGESTS[strategy, k, seed]
+
+
+@pytest.mark.parametrize("strategy", ["curriculum", "topk"])
+def test_make_negatives_searches_each_od_once(small_grid, monkeypatch, strategy):
+    g, corpus, _ = small_grid
+    calls = Counter()
+    real = sampling.diversified_top_k
+
+    def counted(g, s, d, cfg, **kwargs):
+        calls[s, d, cfg.tau_div] += 1
+        return real(g, s, d, cfg, **kwargs)
+
+    monkeypatch.setattr(sampling, "diversified_top_k", counted)
+    make_negatives(corpus, g, 0, k=4, strategy=strategy)
+    assert calls and max(calls.values()) == 1
+    assert {(s, d) for s, d, _ in calls} == {(p.source, p.destination)
+                                             for p in corpus}
+
+
+def test_curriculum_k8_uses_a_fifth_alternative():
+    # six internally disjoint 0->7 routes 0->i->7, shortest first
+    g = build_graph([(0, i, float(i)) for i in range(1, 7)]
+                    + [(i, 7, 1.0) for i in range(1, 7)])
+    corpus = [validate_path(g, ids)
+              for ids in ([0, 1, 7], [0, 1], [0, 2], [0, 3], [0, 4], [1, 7])]
+    ns = sample_negatives(corpus[0], corpus, g, seed=0, k=8)
+    assert ns.kinds.count("diversified") == 4
+    assert ns.kinds.count("random") == 4
+    assert not ns.backfilled
+    assert {p.nodes for p, kind in zip(ns.negatives, ns.kinds)
+            if kind == "diversified"} == {(0, i, 7) for i in range(2, 6)}
+
+
+def test_stream_search_limit_raised(small_grid):
+    g, _, _ = small_grid
+    with pytest.raises(SearchLimit) as info:
+        list(shortest_path_stream(g, 0, g.n - 1, max_pops=3))
+    assert isinstance(info.value, NoPath)
+    assert info.value.pops == 3
+    assert "stopped after 3 pops" in str(info.value)
+    # a limit the search stays under changes nothing
+    full = list(shortest_path_stream(g, 0, 3))
+    assert list(shortest_path_stream(g, 0, 3, max_pops=10_000)) == full
+
+
+def test_make_negatives_counts_search_limit(small_grid, monkeypatch):
+    g, corpus, _ = small_grid
+    counters = {}
+    make_negatives(corpus, g, 0, k=4, counters=counters)
+    assert counters["search_limit_od"] == 0
+    monkeypatch.setattr(sampling, "shortest_path_stream",
+                        functools.partial(shortest_path_stream, max_pops=2))
+    neg_sets = make_negatives(corpus, g, 0, k=4, counters=counters)
+    assert counters["search_limit_od"] == len({(p.source, p.destination)
+                                               for p in corpus})
+    assert counters["backfilled_sets"] == len(neg_sets)
+    assert all("diversified" not in ns.kinds for ns in neg_sets)
 
 
 def test_curriculum_schedule():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pathrep import synth
-from pathrep.cli import make_negatives
+from pathrep.sampling import make_negatives
 from pathrep.encoder import encode
 from pathrep.graph import initial_view
 from pathrep.infomax import LN2
