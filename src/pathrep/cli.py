@@ -84,22 +84,36 @@ def _load_corpus(g, paths_file):
     return [graph.validate_path(g, ids) for ids in graph.load_paths(paths_file)]
 
 
+LABELS_HEADER = "path_id,travel_time_seconds,group_id,rank_score"
+
+
 def _save_labels(path, times, scores, groups):
     with open(path, "w") as fh:
-        fh.write("path_id,travel_time_seconds,group_id,rank_score\n")
+        fh.write(LABELS_HEADER + "\n")
         for i, (t, s, gid) in enumerate(zip(times, scores, groups)):
             fh.write(f"{i},{t:.9g},{gid},{s:.9g}\n")
 
 
 def _load_labels(path):
+    """Labels CSV: the LABELS_HEADER line, then ``path_id`` 0..N-1 in order."""
     times, scores, groups = [], [], []
     with open(path) as fh:
-        next(fh)
-        for line in fh:
-            _, t, gid, s = line.strip().split(",")
-            times.append(float(t))
-            groups.append(int(gid))
-            scores.append(float(s))
+        header = fh.readline().strip()
+        if header != LABELS_HEADER:
+            raise ValueError(f"{path}: line 1: header {header!r}, "
+                             f"expected {LABELS_HEADER!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                pid, t, gid, s = line.strip().split(",")
+                if int(pid) != lineno - 2:
+                    raise ValueError(f"path_id {pid}, expected {lineno - 2}")
+                times.append(float(t))
+                groups.append(int(gid))
+                scores.append(float(s))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not times:
+        raise ValueError(f"{path}: no label rows")
     return np.array(times), np.array(scores), np.array(groups, dtype=np.int64)
 
 
@@ -249,6 +263,9 @@ def cmd_eval(args):
     started = time.time()
     emb = graph.load_features(args.embeddings)
     times, scores, groups = _load_labels(args.labels)
+    if emb.shape[0] != len(times):
+        raise ValueError(f"{args.embeddings}: {emb.shape[0]} embedding rows for "
+                         f"{len(times)} label rows in {args.labels}")
     if args.task == "travel-time":
         y = times
     else:

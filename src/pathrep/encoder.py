@@ -1,17 +1,16 @@
 """Gated recurrent path encoder: (Z x D) initial view -> D'-vector.
 
-The recurrent forward/backward pass is the training hot loop, so it is a
-fused kernel (numba-compiled unless PIM_NUMBA=0) registered on the tape
-as a single op with a hand-derived backward rule.  ``encode_primitive``
-builds the identical cell out of tape primitives and exists only to
-cross-check the fused kernel in tests.
+The recurrent pass is the training hot loop, so ``gru_forward`` and
+``gru_backward`` step through the whole sequence in one call each, and
+``encode_on_tape`` registers them on the tape as a single op with a
+hand-derived backward rule.  ``encode_primitive`` builds the identical
+cell out of tape primitives and exists only to cross-check the fused op
+in tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .accel import maybe_jit
 
 WEIGHT_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc", "Wo")
 
@@ -44,7 +43,7 @@ def init_encoder(d, h, d_out, seed):
     return EncoderParams(weights=weights, d=d, h=h, d_out=d_out)
 
 
-def _gru_forward(iv, Wz, Uz, bz, Wr, Ur, br, Wc, Uc, bc, Wo):
+def gru_forward(iv, Wz, Uz, bz, Wr, Ur, br, Wc, Uc, bc, Wo):
     z_len = iv.shape[0]
     hdim = Wz.shape[1]
     hs = np.zeros((z_len + 1, hdim))
@@ -65,7 +64,7 @@ def _gru_forward(iv, Wz, Uz, bz, Wr, Ur, br, Wc, Uc, bc, Wo):
     return p, hs, zs, rs, cs
 
 
-def _gru_backward(dp, iv, hs, zs, rs, cs, Uz, Ur, Uc, Wo):
+def gru_backward(dp, iv, hs, zs, rs, cs, Uz, Ur, Uc, Wo):
     z_len = iv.shape[0]
     dWz = np.zeros((iv.shape[1], Uz.shape[1]))
     dUz = np.zeros_like(Uz)
@@ -106,10 +105,6 @@ def _gru_backward(dp, iv, hs, zs, rs, cs, Uz, Ur, Uc, Wo):
         dh_next = dh_next + np.dot(dar, Ur.T)
         dh = dh_next
     return dWz, dUz, dbz, dWr, dUr, dbr, dWc, dUc, dbc, dWo
-
-
-gru_forward = maybe_jit(_gru_forward)
-gru_backward = maybe_jit(_gru_backward)
 
 
 def encode(params, iv):

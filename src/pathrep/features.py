@@ -1,15 +1,15 @@
 """Node feature vectors via biased second-order random walks + skip-gram.
 
 All randomness is pre-drawn with a seeded numpy generator and handed to
-the kernels as arrays, so the compiled and fallback paths produce
-bit-identical tables.
+the kernels as arrays.  The walks advance together, one step per
+iteration; skip-gram training runs its pairs in order and updates one
+embedding row per target.  Every sum runs in a fixed sequential order, so
+a seed fixes the walks and the table byte for byte.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .accel import maybe_jit
 
 
 @dataclass(frozen=True)
@@ -41,101 +41,70 @@ class SgnsConfig:
             raise ValueError("dim, window and negatives must be >= 1")
 
 
-def _contains(arr, lo, hi, x):
-    """Binary search for x in arr[lo:hi] (sorted)."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid] == x:
-            return True
-        if arr[mid] < x:
-            lo = mid + 1
+def _walk_kernel(g, starts, uniforms, p, q):
+    """All walks advance together, one step per iteration.
+
+    The first step is uniform over the out-neighbours.  Later steps weight
+    each neighbour x of ``cur`` by 1/p if x is the previous node, 1 if x is
+    also a neighbour of the previous node, else 1/q, and take the first
+    neighbour whose running weight reaches ``u * total``.  A walk stops at a
+    node with no out-neighbours; the rest of its row stays -1.
+    """
+    n_walks, length = uniforms.shape[0], uniforms.shape[1] + 1
+    deg = np.diff(g.indptr)
+    valid = np.arange(deg.max()) < deg[:, None]
+    table = np.full(valid.shape, -1, dtype=np.int64)
+    table[valid] = g.neighbors
+    edge_keys = g.edge_u * g.n + g.edge_v          # sorted: CSR is row-major
+    out = np.full((n_walks, length), -1, dtype=np.int64)
+    out[:, 0] = starts
+    live = np.arange(n_walks)
+    cur, prev = starts, None
+    for step in range(1, length):
+        moving = deg[cur] > 0
+        live, cur = live[moving], cur[moving]
+        if not len(live):
+            break
+        u = uniforms[live, step - 1]
+        d = deg[cur]
+        if prev is None:
+            nxt = table[cur, np.minimum((u * d).astype(np.int64), d - 1)]
         else:
-            hi = mid
-    return False
-
-
-def _walk_kernel(indptr, neighbors, starts, uniforms, p, q, out):
-    n_walks, length = out.shape
-    for w in range(n_walks):
-        cur = starts[w]
-        out[w, 0] = cur
-        prev = -1
-        for step in range(1, length):
-            lo = indptr[cur]
-            hi = indptr[cur + 1]
-            deg = hi - lo
-            if deg == 0:
-                break
-            u = uniforms[w, step - 1]
-            if prev < 0:
-                nxt = neighbors[lo + min(int(u * deg), deg - 1)]
-            else:
-                total = 0.0
-                for i in range(lo, hi):
-                    x = neighbors[i]
-                    if x == prev:
-                        total += 1.0 / p
-                    elif _contains(neighbors, indptr[prev], indptr[prev + 1], x):
-                        total += 1.0
-                    else:
-                        total += 1.0 / q
-                target = u * total
-                acc = 0.0
-                nxt = neighbors[hi - 1]
-                for i in range(lo, hi):
-                    x = neighbors[i]
-                    if x == prev:
-                        acc += 1.0 / p
-                    elif _contains(neighbors, indptr[prev], indptr[prev + 1], x):
-                        acc += 1.0
-                    else:
-                        acc += 1.0 / q
-                    if acc >= target:
-                        nxt = x
-                        break
-            out[w, step] = nxt
-            prev = cur
-            cur = nxt
+            prev = prev[moving]
+            cand = table[cur]
+            keys = prev[:, None] * g.n + cand
+            at = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+            weight = np.where(cand == prev[:, None], 1.0 / p,
+                              np.where(edge_keys[at] == keys, 1.0, 1.0 / q))
+            acc = np.cumsum(np.where(valid[cur], weight, 0.0), axis=1)
+            # u < 1, so the last real neighbour always reaches the target
+            # and the zero-weight padding after it is never picked
+            hit = acc >= (u * acc[:, -1])[:, None]
+            nxt = cand[np.arange(len(cur)), np.argmax(hit, axis=1)]
+        out[live, step] = nxt
+        prev, cur = cur, nxt
     return out
 
 
 def _sgns_epoch(win, wout, centers, contexts, negs, lr):
-    n_pairs = centers.shape[0]
-    dim = win.shape[1]
-    n_neg = negs.shape[1]
-    for i in range(n_pairs):
-        c = centers[i]
-        o = contexts[i]
-        grad_h = np.zeros(dim)
-        # positive target
-        s = 0.0
-        for k in range(dim):
-            s += win[c, k] * wout[o, k]
-        e = lr * (1.0 / (1.0 + np.exp(-s)) - 1.0)
-        for k in range(dim):
-            grad_h[k] += e * wout[o, k]
-            wout[o, k] -= e * win[c, k]
-        # negative targets
-        for j in range(n_neg):
-            t = negs[i, j]
-            if t == o or t == c:
-                continue
-            s = 0.0
-            for k in range(dim):
-                s += win[c, k] * wout[t, k]
-            e = lr * (1.0 / (1.0 + np.exp(-s)))
-            for k in range(dim):
-                grad_h[k] += e * wout[t, k]
-                wout[t, k] -= e * win[c, k]
-        for k in range(dim):
-            win[c, k] -= grad_h[k]
+    """One pass over the pairs in order, each target a row update.
 
-
-contains_jit = maybe_jit(_contains)
-if contains_jit is not _contains:  # compiled path: kernels must call the jitted helper
-    _contains = contains_jit
-walk_kernel = maybe_jit(_walk_kernel)
-sgns_epoch = maybe_jit(_sgns_epoch)
+    Per pair the positive context comes first (label 1), then the
+    negatives (label 0) that are neither the context nor the centre.
+    Scores are sequential sums (``np.add.accumulate``), never BLAS dots,
+    so the table does not depend on the BLAS build.
+    """
+    negs = np.where((negs == contexts[:, None]) | (negs == centers[:, None]), -1, negs)
+    for c, o, ts in zip(centers.tolist(), contexts.tolist(), negs):
+        wc = win[c]
+        grad_h = np.zeros(win.shape[1])
+        for t, label in [(o, 1.0)] + [(t, 0.0) for t in ts.tolist() if t >= 0]:
+            wt = wout[t]
+            s = np.add.accumulate(wc * wt)[-1]
+            e = lr * (1.0 / (1.0 + np.exp(-s)) - label)
+            grad_h += e * wt
+            wt -= e * wc
+        wc -= grad_h
 
 
 def generate_walks(g, cfg):
@@ -147,9 +116,7 @@ def generate_walks(g, cfg):
     starts = np.repeat(starts_base, cfg.walks_per_node)
     rng = np.random.default_rng(cfg.seed)
     uniforms = rng.random((len(starts), cfg.walk_length - 1))
-    out = np.full((len(starts), cfg.walk_length), -1, dtype=np.int64)
-    walk_kernel(g.indptr, g.neighbors, starts, uniforms,
-                float(cfg.p), float(cfg.q), out)
+    out = _walk_kernel(g, starts, uniforms, cfg.p, cfg.q)
     walks = []
     for row in out:
         walk = row[row >= 0]
@@ -190,8 +157,7 @@ def train_sgns(walks, cfg, n_nodes):
     for _ in range(cfg.epochs):
         order = rng.permutation(len(centers))
         negs = rng.choice(n_nodes, size=(len(centers), cfg.negatives), p=dist)
-        sgns_epoch(win, wout, centers[order], contexts[order],
-                   negs.astype(np.int64), float(cfg.lr))
+        _sgns_epoch(win, wout, centers[order], contexts[order], negs, cfg.lr)
     # summing input and output embeddings puts direct co-occurrence
     # similarity (which lives in win x wout) into the returned table
     table = win + wout

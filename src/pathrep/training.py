@@ -299,6 +299,15 @@ def predict_supervised(sup, g, features, paths):
 # ---- checkpoints --------------------------------------------------------
 
 
+def _replace_file(path, data):
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: a crash leaves the old file or the new one, never a torn one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(model, directory):
     """Text manifest + one little-endian float64 binary segment file."""
     os.makedirs(directory, exist_ok=True)
@@ -309,27 +318,32 @@ def save_checkpoint(model, directory):
         for key in sorted(table):
             names.append((f"{prefix}:{key}", table[key].shape))
             blobs.append(table[key].astype("<f8").tobytes())
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.write(f"meta d={model.d} hidden={model.hidden} d_out={model.d_out} "
-                 f"adam_t={model.adam_t} epoch={model.epoch}\n")
-        for (name, shape) in names:
-            fh.write(f"{name} {shape[0]} {shape[1]}\n")
-    with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        fh.write(b"".join(blobs))
+    manifest = (f"meta d={model.d} hidden={model.hidden} d_out={model.d_out} "
+                f"adam_t={model.adam_t} epoch={model.epoch}\n")
+    manifest += "".join(f"{name} {shape[0]} {shape[1]}\n" for name, shape in names)
+    _replace_file(os.path.join(directory, "params.bin"), b"".join(blobs))
+    _replace_file(os.path.join(directory, "manifest.txt"), manifest.encode())
 
 
 def load_checkpoint(directory):
     with open(os.path.join(directory, "manifest.txt")) as fh:
         lines = fh.read().splitlines()
     meta = dict(kv.split("=") for kv in lines[0].split()[1:])
-    raw = np.fromfile(os.path.join(directory, "params.bin"), dtype="<f8")
+    layout = [(name.split(":"), int(rows), int(cols))
+              for name, rows, cols in (line.split() for line in lines[1:])]
+    path = os.path.join(directory, "params.bin")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    expected = sum(rows * cols for _, rows, cols in layout)
+    if len(blob) != 8 * expected:
+        raise ValueError(f"{path}: {len(blob)} bytes, manifest lists "
+                         f"{expected} float64 values ({8 * expected} bytes)")
+    raw = np.frombuffer(blob, dtype="<f8")
     tables = {"p": {}, "m": {}, "v": {}}
     offset = 0
-    for line in lines[1:]:
-        name, rows, cols = line.split()
-        prefix, key = name.split(":")
-        size = int(rows) * int(cols)
-        tables[prefix][key] = raw[offset:offset + size].reshape(int(rows), int(cols)).copy()
+    for (prefix, key), rows, cols in layout:
+        size = rows * cols
+        tables[prefix][key] = raw[offset:offset + size].reshape(rows, cols).copy()
         offset += size
     return Model(params=tables["p"], d=int(meta["d"]), hidden=int(meta["hidden"]),
                  d_out=int(meta["d_out"]), adam_m=tables["m"], adam_v=tables["v"],

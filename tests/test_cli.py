@@ -186,3 +186,67 @@ def test_config_file_with_flag_precedence(tmp_path, pipeline):
     g = open(os.path.join(out, "graph.csv")).read().splitlines()
     nodes = {int(x) for line in g for x in line.split(",")[:2]}
     assert len(nodes) == 25
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("case,message", [
+    ("truncated", "9068 bytes, manifest lists 1134 float64 values (9072 bytes)"),
+    ("padded", "9073 bytes, manifest lists 1134 float64 values (9072 bytes)"),
+])
+def test_embed_rejects_torn_params(pipeline, tmp_path, capsys, case, message):
+    _, data, feats, _, ckpt, _ = pipeline
+    bad = tmp_path / "ckpt"
+    bad.mkdir()
+    (bad / "manifest.txt").write_bytes(open(os.path.join(ckpt, "manifest.txt"), "rb").read())
+    blob = open(os.path.join(ckpt, "params.bin"), "rb").read()
+    (bad / "params.bin").write_bytes(blob[:-4] if case == "truncated" else blob + b"\0")
+    assert main(["embed", "--ckpt", str(bad), "--graph", f"{data}/graph.csv",
+                 "--features", feats, "--paths", f"{data}/paths.txt",
+                 "--out", str(tmp_path / "emb.txt")]) == 1
+    assert f"{bad / 'params.bin'}: {message}" in _one_line_error(capsys)
+
+
+def _eval(emb, labels, task="travel-time"):
+    return main(["eval", "--embeddings", emb, "--labels", labels, "--task", task])
+
+
+@pytest.mark.parametrize("rows", [29, 31])
+def test_eval_rejects_row_count_mismatch(pipeline, tmp_path, capsys, rows):
+    _, data, *_, emb = pipeline
+    table = load_features(emb)
+    bad = str(tmp_path / "emb.txt")
+    save_features(np.vstack([table, table])[:rows], bad)
+    assert _eval(bad, f"{data}/labels.csv") == 1
+    assert f"{bad}: {rows} embedding rows for 30 label rows" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("header", "line 1: header 'id,time,group,score'"),
+    ("short line", "line 5: not enough values to unpack"),
+    ("bad number", "line 5: could not convert string to float: 'fast'"),
+    ("path id", "line 5: path_id 7, expected 3"),
+    ("empty", "line 1: header ''"),
+    ("header only", "no label rows"),
+])
+def test_eval_rejects_bad_labels(pipeline, tmp_path, capsys, case, message):
+    _, data, *_, emb = pipeline
+    lines = open(f"{data}/labels.csv").read().splitlines()
+    if case == "header":
+        lines[0] = "id,time,group,score"
+    elif case == "short line":
+        lines[4] = lines[4].rsplit(",", 1)[0]
+    elif case == "bad number":
+        lines[4] = "3,fast,1,0.5"
+    elif case == "path id":
+        lines[4] = "7" + lines[4][1:]
+    else:
+        lines = lines[:1] if case == "header only" else []
+    bad = tmp_path / "labels.csv"
+    bad.write_text("".join(line + "\n" for line in lines))
+    assert _eval(emb, str(bad)) == 1
+    assert f"{bad}: {message}" in _one_line_error(capsys)

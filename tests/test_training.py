@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,29 @@ def test_checkpoint_round_trip(tmp_path, tiny_setup):
     a = embed_corpus(model, g, features, corpus)
     b = embed_corpus(loaded, g, features, corpus)
     assert np.array_equal(a, b)
+
+
+def test_checkpoint_failed_write_keeps_old_files(tmp_path, tiny_setup, monkeypatch):
+    _, features, _, _ = tiny_setup
+    model = init_model(features.shape[1], TrainConfig(d_out=5, seed=0))
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(model, ckpt)
+    before = {name: (ckpt / name).read_bytes() for name in ("manifest.txt", "params.bin")}
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    model.params["Wo"] += 1.0
+    model.epoch = 1
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        save_checkpoint(model, ckpt)
+    for name, data in before.items():
+        assert (ckpt / name).read_bytes() == data
+    monkeypatch.undo()
+    save_checkpoint(model, ckpt)
+    assert load_checkpoint(ckpt).epoch == 1
+    assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.txt", "params.bin"]
 
 
 def test_nan_loss_aborts(tiny_setup):
