@@ -1,6 +1,8 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 arrays.
 
-Just the operations the encoder, discriminators and losses need.  A Tape
+Just the operations the encoder, discriminators and losses need; the
+row ops (``gather_rows``, ``row_dot``, ``segment_mean``) let one record
+score every pair of a batch.  A Tape
 records one backward rule per forward op; ``backward`` walks the records
 in reverse and accumulates gradients additively, so using a tensor twice
 sums both path gradients.
@@ -203,6 +205,55 @@ class Tape:
             if out.grad is None:
                 return
             a.add_grad(np.repeat(out.grad, n, axis=0) / n)
+        self.record(bw)
+        return out
+
+    def gather_rows(self, a, rows):
+        """The rows ``a[rows]``; a row taken twice gets both gradients."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = self._out(a.value[rows])
+
+        def bw():
+            if out.grad is None:
+                return
+            grad = np.zeros_like(a.value)
+            np.add.at(grad, rows, out.grad)
+            a.add_grad(grad)
+        self.record(bw)
+        return out
+
+    def row_dot(self, a, b):
+        """Column of the row-wise dot products a_i . b_i."""
+        if a.shape != b.shape:
+            raise ShapeMismatch("row_dot", a.shape, b.shape)
+        out = self._out((a.value * b.value).sum(axis=1, keepdims=True))
+
+        def bw():
+            if out.grad is None:
+                return
+            a.add_grad(out.grad * b.value)
+            b.add_grad(out.grad * a.value)
+        self.record(bw)
+        return out
+
+    def segment_mean(self, a, segments, n):
+        """n-row mean of the rows of ``a`` by segment: row s is the sum, in
+        row order, of the rows whose segment is s, times 1/(their count)."""
+        segments = np.asarray(segments, dtype=np.intp)
+        if segments.shape != (a.shape[0],):
+            raise ShapeMismatch("segment_mean", a.shape, segments.shape)
+        counts = np.bincount(segments, minlength=n)
+        if len(counts) != n or not counts.all():
+            raise ValueError(f"segment_mean: every segment 0..{n - 1} needs a row")
+        weight = (1.0 / counts).reshape(-1, 1)
+        total = np.zeros((n, a.shape[1]))
+        np.add.at(total, segments, a.value)
+        out = self._out(total * weight)
+
+        def bw():
+            if out.grad is None:
+                return
+            a.add_grad((out.grad * weight)[segments])
         self.record(bw)
         return out
 

@@ -117,6 +117,15 @@ def _load_labels(path):
     return np.array(times), np.array(scores), np.array(groups, dtype=np.int64)
 
 
+def _load_travel_times(args, corpus):
+    """Travel-time labels of ``args.labels``, one per path of the corpus."""
+    times, _, _ = _load_labels(args.labels)
+    if len(times) != len(corpus):
+        raise ValueError(f"{args.labels}: {len(times)} label rows for "
+                         f"{len(corpus)} paths in {args.paths}")
+    return times
+
+
 def _negatives_to_records(neg_sets):
     return [{"path_id": i,
              "negatives": [list(p.nodes) for p in ns.negatives],
@@ -227,8 +236,9 @@ def cmd_train(args):
                                lr=args.lr, k=args.k, curriculum=args.curriculum,
                                mode=args.mode, d_out=args.dim_out, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
+    counters = {}
     model, trace = training.train(cfg, g, features, corpus, neg_sets,
-                                  checkpoint_dir=args.out)
+                                  checkpoint_dir=args.out, counters=counters)
     trace_file = os.path.join(args.out, "losstrace.csv")
     with open(trace_file, "w") as fh:
         fh.write("epoch,global,local,joint,stage\n")
@@ -238,7 +248,8 @@ def cmd_train(args):
     _write_manifest(args.out, "train", vars(args),
                     [args.graph, args.features, args.paths, args.negatives],
                     [trace_file, os.path.join(args.out, "manifest.txt"),
-                     os.path.join(args.out, "params.bin")], args.seed, started)
+                     os.path.join(args.out, "params.bin")], args.seed, started,
+                    counters=counters)
     print(f"train: final joint objective {trace[-1]['joint']:.4f} "
           f"after {cfg.epochs} epochs -> {args.out}")
     return 0
@@ -301,7 +312,7 @@ def cmd_finetune(args):
     g = graph.load_graph(args.graph)
     features = graph.load_features(args.features)
     corpus = _load_corpus(g, args.paths)
-    times, _, _ = _load_labels(args.labels)
+    times = _load_travel_times(args, corpus)
     model = training.load_checkpoint(args.ckpt)
     labeled = list(zip(corpus, times))
     sup, history = training.finetune(model, g, features, labeled,
@@ -323,7 +334,7 @@ def cmd_ablate(args):
     g = graph.load_graph(args.graph)
     features = graph.load_features(args.features)
     corpus = _load_corpus(g, args.paths)
-    times, _, _ = _load_labels(args.labels)
+    times = _load_travel_times(args, corpus)
     seeds = [int(s) for s in args.seeds.split(",")]
 
     if args.axis == "mi-mode":

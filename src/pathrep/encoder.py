@@ -1,11 +1,12 @@
 """Gated recurrent path encoder: (Z x D) initial view -> D'-vector.
 
-The recurrent pass is the training hot loop, so ``gru_forward`` and
-``gru_backward`` step through the whole sequence in one call each, and
-``encode_on_tape`` registers them on the tape as a single op with a
-hand-derived backward rule.  ``encode_primitive`` builds the identical
-cell out of tape primitives and exists only to cross-check the fused op
-in tests.
+The encoder runs on a batch of paths at once.  ``pad_views`` stacks the
+paths' initial views into a zero-padded B x T x D array and a B x T mask;
+``gru_forward`` and ``gru_backward`` step over time for every path
+together, with each path's hidden state frozen past its last node, and
+make the input projections of all steps one matmul.
+``encode_batch_on_tape`` registers the pair on the tape as one op with a
+hand-derived backward rule.
 """
 
 from dataclasses import dataclass
@@ -43,126 +44,107 @@ def init_encoder(d, h, d_out, seed):
     return EncoderParams(weights=weights, d=d, h=h, d_out=d_out)
 
 
-def gru_forward(iv, Wz, Uz, bz, Wr, Ur, br, Wc, Uc, bc, Wo):
-    z_len = iv.shape[0]
-    hdim = Wz.shape[1]
-    hs = np.zeros((z_len + 1, hdim))
-    zs = np.zeros((z_len, hdim))
-    rs = np.zeros((z_len, hdim))
-    cs = np.zeros((z_len, hdim))
-    for t in range(z_len):
-        x = iv[t]
-        hprev = hs[t]
-        z = 1.0 / (1.0 + np.exp(-(np.dot(x, Wz) + np.dot(hprev, Uz) + bz)))
-        r = 1.0 / (1.0 + np.exp(-(np.dot(x, Wr) + np.dot(hprev, Ur) + br)))
-        c = np.tanh(np.dot(x, Wc) + np.dot(r * hprev, Uc) + bc)
-        hs[t + 1] = (1.0 - z) * hprev + z * c
+def pad_views(views, d):
+    """Zero-padded B x T x D stack of Z_i x D views and its B x T mask."""
+    lengths = [len(v) for v in views]
+    if 0 in lengths:
+        raise ValueError("empty initial view")
+    x = np.zeros((len(views), max(lengths, default=0), d))
+    for i, v in enumerate(views):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape[1] != d:
+            raise ValueError(f"view has {v.shape[1]} columns, encoder expects {d}")
+        x[i, :len(v)] = v
+    mask = np.arange(x.shape[1]) < np.array(lengths, dtype=np.intp).reshape(-1, 1)
+    return x, mask
+
+
+def gru_forward(x, mask, Wz, Uz, bz, Wr, Ur, br, Wc, Uc, bc, Wo):
+    """B x D' representations of the padded views ``x`` (B x T x D).
+
+    Also returns the time-major caches for ``gru_backward``: hidden states
+    (T+1 x B x H), update gates, reset gates and candidates (T x B x H).
+    """
+    b, t_len, d = x.shape
+    hdim = Uz.shape[0]
+    xw = (x.reshape(b * t_len, d) @ np.concatenate([Wz, Wr, Wc], axis=1)
+          ).reshape(b, t_len, 3 * hdim)
+    uzr = np.concatenate([Uz, Ur], axis=1)
+    hs = np.zeros((t_len + 1, b, hdim))
+    zs = np.zeros((t_len, b, hdim))
+    rs = np.zeros((t_len, b, hdim))
+    cs = np.zeros((t_len, b, hdim))
+    for t in range(t_len):
+        h = hs[t]
+        hu = h @ uzr
+        z = 1.0 / (1.0 + np.exp(-(xw[:, t, :hdim] + hu[:, :hdim] + bz)))
+        r = 1.0 / (1.0 + np.exp(-(xw[:, t, hdim:2 * hdim] + hu[:, hdim:] + br)))
+        c = np.tanh(xw[:, t, 2 * hdim:] + (r * h) @ Uc + bc)
+        hs[t + 1] = np.where(mask[:, t:t + 1], (1.0 - z) * h + z * c, h)
         zs[t] = z
         rs[t] = r
         cs[t] = c
-    p = np.dot(hs[z_len], Wo)
-    return p, hs, zs, rs, cs
+    return hs[t_len] @ Wo, hs, zs, rs, cs
 
 
-def gru_backward(dp, iv, hs, zs, rs, cs, Uz, Ur, Uc, Wo):
-    z_len = iv.shape[0]
-    dWz = np.zeros((iv.shape[1], Uz.shape[1]))
-    dUz = np.zeros_like(Uz)
-    dbz = np.zeros(Uz.shape[1])
-    dWr = np.zeros((iv.shape[1], Ur.shape[1]))
-    dUr = np.zeros_like(Ur)
-    dbr = np.zeros(Ur.shape[1])
-    dWc = np.zeros((iv.shape[1], Uc.shape[1]))
-    dUc = np.zeros_like(Uc)
-    dbc = np.zeros(Uc.shape[1])
-    dWo = np.outer(hs[z_len], dp)
-    dh = np.dot(Wo, dp)
-    for t in range(z_len - 1, -1, -1):
-        x = iv[t]
-        hprev = hs[t]
-        z = zs[t]
-        r = rs[t]
-        c = cs[t]
-        dz = dh * (c - hprev)
-        dc = dh * z
-        dh_next = dh * (1.0 - z)
-        dac = dc * (1.0 - c * c)
-        dWc += np.outer(x, dac)
-        dUc += np.outer(r * hprev, dac)
-        dbc += dac
-        drh = np.dot(dac, Uc.T)
-        dr = drh * hprev
-        dh_next = dh_next + drh * r
-        daz = dz * z * (1.0 - z)
-        dWz += np.outer(x, daz)
-        dUz += np.outer(hprev, daz)
-        dbz += daz
-        dh_next = dh_next + np.dot(daz, Uz.T)
-        dar = dr * r * (1.0 - r)
-        dWr += np.outer(x, dar)
-        dUr += np.outer(hprev, dar)
-        dbr += dar
-        dh_next = dh_next + np.dot(dar, Ur.T)
-        dh = dh_next
-    return dWz, dUz, dbz, dWr, dUr, dbr, dWc, dUc, dbc, dWo
+def gru_backward(dp, x, mask, hs, zs, rs, cs, Uz, Ur, Uc, Wo):
+    """Gradients of the WEIGHT_KEYS, in that order, given dL/dp (B x D')."""
+    b, t_len, d = x.shape
+    hdim = Uz.shape[0]
+    da = np.zeros((t_len, b, 3 * hdim))     # pre-activation grads z | r | c
+    dh = dp @ Wo.T
+    for t in range(t_len - 1, -1, -1):
+        hprev, z, r, c = hs[t], zs[t], rs[t], cs[t]
+        live = mask[:, t:t + 1]
+        dhl = np.where(live, dh, 0.0)
+        dac = dhl * z * (1.0 - c * c)
+        drh = dac @ Uc.T
+        daz = dhl * (c - hprev) * z * (1.0 - z)
+        dar = drh * hprev * r * (1.0 - r)
+        dh_prev = dhl * (1.0 - z) + drh * r + daz @ Uz.T + dar @ Ur.T
+        dh = np.where(live, dh_prev, dh)
+        da[t, :, :hdim] = daz
+        da[t, :, hdim:2 * hdim] = dar
+        da[t, :, 2 * hdim:] = dac
+    da = da.reshape(t_len * b, 3 * hdim)
+    dw = x.transpose(1, 0, 2).reshape(t_len * b, d).T @ da
+    du = hs[:-1].reshape(t_len * b, hdim).T @ da[:, :2 * hdim]
+    duc = (rs * hs[:-1]).reshape(t_len * b, hdim).T @ da[:, 2 * hdim:]
+    db = da.sum(axis=0, keepdims=True)
+    z_, r_, c_ = slice(0, hdim), slice(hdim, 2 * hdim), slice(2 * hdim, 3 * hdim)
+    return (dw[:, z_], du[:, z_], db[:, z_], dw[:, r_], du[:, r_], db[:, r_],
+            dw[:, c_], duc, db[:, c_], hs[t_len].T @ dp)
+
+
+def encode_batch(params, views):
+    """Inference-only encoding of a list of Z_i x D views; B x D', no gradients."""
+    x, mask = pad_views(views, params.d)
+    return gru_forward(x, mask, *(params.weights[k] for k in WEIGHT_KEYS))[0]
 
 
 def encode(params, iv):
-    """Inference-only encoding; returns a D' vector, no gradients."""
-    iv = np.ascontiguousarray(iv, dtype=np.float64)
-    if iv.shape[0] == 0:
-        raise ValueError("empty initial view")
-    if iv.shape[1] != params.d:
-        raise ValueError(f"view has {iv.shape[1]} columns, encoder expects {params.d}")
-    w = params.weights
-    p, *_ = gru_forward(iv, w["Wz"], w["Uz"], w["bz"][0], w["Wr"], w["Ur"],
-                        w["br"][0], w["Wc"], w["Uc"], w["bc"][0], w["Wo"])
-    return p
+    """Inference-only encoding of one view; returns a D' vector."""
+    return encode_batch(params, [iv])[0]
 
 
-def encode_on_tape(tensors, iv, tape):
-    """Differentiable encoding as one fused tape op.
+def encode_batch_on_tape(tensors, views, tape):
+    """Differentiable encoding of a list of views as one fused tape op.
 
     ``tensors`` maps the WEIGHT_KEYS to requires-grad Tensors on ``tape``;
-    the initial view is a constant (node features are frozen).  Returns a
-    1 x D' Tensor.
+    the initial views are constants (node features are frozen).  Returns a
+    B x D' Tensor, row i the representation of ``views[i]``.
     """
-    iv = np.ascontiguousarray(iv, dtype=np.float64)
-    if iv.shape[0] == 0:
-        raise ValueError("empty initial view")
     w = {k: tensors[k].value for k in WEIGHT_KEYS}
-    p, hs, zs, rs, cs = gru_forward(
-        iv, w["Wz"], w["Uz"], w["bz"][0], w["Wr"], w["Ur"], w["br"][0],
-        w["Wc"], w["Uc"], w["bc"][0], w["Wo"])
-    out = tape.tensor(p.reshape(1, -1))
+    x, mask = pad_views(views, w["Wz"].shape[0])
+    p, hs, zs, rs, cs = gru_forward(x, mask, *(w[k] for k in WEIGHT_KEYS))
+    out = tape.tensor(p)
 
     def bw():
         if out.grad is None:
             return
-        grads = gru_backward(out.grad[0], iv, hs, zs, rs, cs,
+        grads = gru_backward(out.grad, x, mask, hs, zs, rs, cs,
                              w["Uz"], w["Ur"], w["Uc"], w["Wo"])
         for key, g in zip(WEIGHT_KEYS, grads):
-            tensors[key].add_grad(np.asarray(g).reshape(tensors[key].shape))
+            tensors[key].add_grad(g)
     tape.record(bw)
     return out
-
-
-def encode_primitive(tensors, iv, tape):
-    """Reference encoding built from tape primitives (tests only)."""
-    iv = np.asarray(iv, dtype=np.float64)
-    hdim = tensors["Uz"].shape[0]
-    h = tape.tensor(np.zeros((1, hdim)))
-    for t in range(iv.shape[0]):
-        x = tape.tensor(iv[t:t + 1])
-        z = tape.sigmoid(tape.add(tape.add(tape.matmul(x, tensors["Wz"]),
-                                           tape.matmul(h, tensors["Uz"])),
-                                  tensors["bz"]))
-        r = tape.sigmoid(tape.add(tape.add(tape.matmul(x, tensors["Wr"]),
-                                           tape.matmul(h, tensors["Ur"])),
-                                  tensors["br"]))
-        c = tape.tanh(tape.add(tape.add(tape.matmul(x, tensors["Wc"]),
-                                        tape.matmul(tape.mul(r, h), tensors["Uc"])),
-                               tensors["bc"]))
-        one_minus_z = tape.add_const(tape.scale(z, -1.0), 1.0)
-        h = tape.add(tape.mul(one_minus_z, h), tape.mul(z, c))
-    return tape.matmul(h, tensors["Wo"])

@@ -1,9 +1,14 @@
 """Bilinear discriminators and the global/local/joint contrastive objectives.
 
-Both objectives are BCE-style averages of log-scores.  The bilinear
-matrices start at zero, which pins every score to sigma(0) = 0.5 and both
+Both objectives are BCE-style averages of log-scores, one per sample of a
+batch.  Each scores all pairs of the batch at once: it gathers the rows
+of the pairs, takes the row-wise bilinear score sigma(a W b^T), the
+floored log, and the per-sample weighted sum.  The bilinear matrices
+start at zero, which pins every score to sigma(0) = 0.5 and both
 objectives to exactly -ln 2 at initialization; that identity anchors the
-numeric tests.  SAFE_LOG_FLOOR guards saturated sigmoids.
+numeric tests.  SAFE_LOG_FLOOR guards saturated sigmoids: where it bites,
+the log's gradient is zero, and ``counters["log_floor_clamps"]`` counts
+those scores.
 """
 
 import numpy as np
@@ -29,57 +34,70 @@ def init_discriminators(d, d_out, seed):
     }
 
 
-def project_view(tensors, iv, tape):
-    """Mean-pool a Z x D initial view and project it into D'."""
-    pooled = tape.mean_rows(tape.tensor(np.asarray(iv, dtype=np.float64)))
-    return tape.matmul(pooled, tensors["L"])
+def _log_scores(left, right, positive, tape, counters):
+    """Floored log of sigma(left_i . right_i) for each row, or of
+    1 - sigma(...) when the pairs are negative."""
+    s = tape.sigmoid(tape.row_dot(left, right))
+    if not positive:
+        s = tape.add_const(tape.scale(s, -1.0), 1.0)
+    if counters is not None:
+        counters["log_floor_clamps"] = (counters.get("log_floor_clamps", 0)
+                                        + int(np.count_nonzero(s.value <= SAFE_LOG_FLOOR)))
+    return tape.log(s, floor=SAFE_LOG_FLOOR)
 
 
-def score_path_path(tensors, p, g, tape):
-    """sigma(p W_pp g^T) for two 1 x D' representations."""
-    s = tape.matmul(tape.matmul(p, tensors["W_pp"]), tape.transpose(g))
-    return tape.sigmoid(s)
+def global_mi(tensors, reprs, inputs, views, negatives, tape, counters=None):
+    """Path-path objective of each sample, as an S x 1 Tensor.
 
-
-def score_path_node(tensors, p, v, tape):
-    """sigma(p W_pn v^T) for a 1 x D' representation and a 1 x D feature row."""
-    s = tape.matmul(tape.matmul(p, tensors["W_pn"]), tape.transpose(v))
-    return tape.sigmoid(s)
-
-
-def global_mi(tensors, p, iv, neg_reprs, tape):
-    """Path-path objective: positive pair (p, projected view) against the
-    negatives' representations, weighted 1/(1 + #negatives)."""
-    if not neg_reprs:
+    ``reprs`` holds the batch's path representations, one per row.  Sample
+    i scores its input p = reprs[inputs[i]] against the mean-pooled
+    initial view ``views[i]`` projected by L (positive) and against the
+    representations of its negatives, the rows ``negatives[i]``; its terms
+    are weighted 1/(1 + #negatives).
+    """
+    counts = [len(rows) for rows in negatives]
+    if 0 in counts:
         raise ValueError("need at least one negative representation")
-    g = project_view(tensors, iv, tape)
-    total = tape.log(score_path_path(tensors, p, g, tape), floor=SAFE_LOG_FLOOR)
-    for pbar in neg_reprs:
-        s = score_path_path(tensors, p, pbar, tape)
-        one_minus = tape.add_const(tape.scale(s, -1.0), 1.0)
-        total = tape.add(total, tape.log(one_minus, floor=SAFE_LOG_FLOOR))
-    return tape.scale(total, 1.0 / (1 + len(neg_reprs)))
+    n = len(inputs)
+    inputs = np.asarray(inputs, dtype=np.intp)
+    owner = np.repeat(np.arange(n), counts)
+    pooled = np.stack([np.mean(v, axis=0) for v in views])
+    q = tape.matmul(reprs, tensors["W_pp"])
+    pos = _log_scores(tape.gather_rows(q, inputs),
+                      tape.matmul(tape.tensor(pooled), tensors["L"]), True,
+                      tape, counters)
+    neg = _log_scores(tape.gather_rows(q, inputs[owner]),
+                      tape.gather_rows(reprs, np.concatenate(negatives)), False,
+                      tape, counters)
+    return tape.segment_mean(tape.concat_rows([pos, neg]),
+                             np.concatenate([np.arange(n), owner]), n)
 
 
-def local_mi(tensors, p, x_feats, y_feats, tape):
-    """Path-node objective over input-only (X) and negatives-only (Y)
-    node features, weighted 1/|X u Y|."""
-    n = len(x_feats) + len(y_feats)
-    if n == 0:
+def local_mi(tensors, reprs, inputs, features, x_nodes, y_nodes, tape,
+             counters=None):
+    """Path-node objective of each sample, as an S x 1 Tensor.
+
+    Sample i scores its input p = reprs[inputs[i]] against the feature
+    rows of its input-only nodes ``x_nodes[i]`` (positive) and of its
+    negatives-only nodes ``y_nodes[i]``, weighted 1/|X u Y|.
+    """
+    if 0 in [len(x) + len(y) for x, y in zip(x_nodes, y_nodes)]:
         raise ValueError("need at least one node in X or Y")
-    total = None
-    for v in x_feats:
-        term = tape.log(score_path_node(tensors, p, tape.tensor(v), tape),
-                        floor=SAFE_LOG_FLOOR)
-        total = term if total is None else tape.add(total, term)
-    for v in y_feats:
-        s = score_path_node(tensors, p, tape.tensor(v), tape)
-        one_minus = tape.add_const(tape.scale(s, -1.0), 1.0)
-        term = tape.log(one_minus, floor=SAFE_LOG_FLOOR)
-        total = term if total is None else tape.add(total, term)
-    return tape.scale(total, 1.0 / n)
+    n = len(inputs)
+    inputs = np.asarray(inputs, dtype=np.intp)
+    q = tape.matmul(reprs, tensors["W_pn"])
+    terms, owners = [], []
+    for nodes, positive in ((x_nodes, True), (y_nodes, False)):
+        owner = np.repeat(np.arange(n), [len(ids) for ids in nodes])
+        if len(owner):
+            ids = np.concatenate([np.asarray(i, dtype=np.intp) for i in nodes])
+            terms.append(_log_scores(tape.gather_rows(q, inputs[owner]),
+                                     tape.tensor(features[ids]), positive,
+                                     tape, counters))
+            owners.append(owner)
+    return tape.segment_mean(tape.concat_rows(terms), np.concatenate(owners), n)
 
 
 def joint_objective(global_term, local_term, tape):
-    """Unweighted sum of the two objectives."""
-    return tape.add(global_term, local_term)
+    """Unweighted sum of the two objectives over all samples, 1 x 1."""
+    return tape.add(tape.sum(global_term), tape.sum(local_term))

@@ -1,13 +1,23 @@
 """End-to-end training: Adam ascent on the joint objective, curriculum
-staging, corpus embedding, checkpoints, and supervised fine-tuning."""
+staging, corpus embedding, checkpoints, and supervised fine-tuning.
+
+Each training step is one batch on one tape: every distinct path of the
+batch (the inputs and their active negatives, repeats merged) is encoded
+once by the batched encoder, both objectives score all of the batch's
+pairs at once, and ``Tape.backward`` runs once.  Embedding, fine-tuning
+and the accuracy helper use the same batched forward pass.
+"""
 
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import infomax
-from .encoder import WEIGHT_KEYS, EncoderParams, encode, encode_on_tape, init_encoder
+from .encoder import (
+    WEIGHT_KEYS, EncoderParams, encode_batch, encode_batch_on_tape, init_encoder,
+)
 from .graph import initial_view
 from .autodiff import Tape
 from .sampling import EmptyPartition, curriculum_schedule, node_partition
@@ -82,30 +92,64 @@ def adam_step(model, grads, cfg):
         model.params[name] -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
 
 
-def _sample_objective(tensors, g, features, sample, stage, cfg, tape):
-    """Per-sample (global, local) objective tensors; either may be None."""
-    path, ns = sample
-    iv = initial_view(g, features, path)
-    p = encode_on_tape(tensors, iv, tape)
-    active = curriculum_schedule(stage, ns, staged=(cfg.curriculum == "staged"))
+def _distinct_views(g, features, paths):
+    """Initial views of the distinct paths among ``paths``, and the index of
+    each path's view."""
+    index = {}
+    views = []
+    for path in paths:
+        if path.nodes not in index:
+            index[path.nodes] = len(views)
+            views.append(initial_view(g, features, path))
+    return views, np.array([index[path.nodes] for path in paths], dtype=np.intp)
 
-    glob = None
-    if cfg.mode in ("joint", "global"):
-        neg_reprs = [encode_on_tape(tensors, initial_view(g, features, nb), tape)
-                     for nb in active]
-        glob = infomax.global_mi(tensors, p, iv, neg_reprs, tape)
 
-    local = None
+def batch_objective(tensors, g, features, batch, stage, cfg, tape, counters=None):
+    """Objective of a batch of (path, NegativeSet) samples on ``tape``.
+
+    Returns (total, global values, local values): the 1 x 1 sum of every
+    sample's global and local objectives, or None when the batch has no
+    term, and the per-sample values in batch order.  A sample whose node
+    partition is empty has no local term.
+    """
+    paths = [path for path, _ in batch]
+    actives = [curriculum_schedule(stage, ns, staged=(cfg.curriculum == "staged"))
+               for _, ns in batch]
+    with_global = cfg.mode in ("joint", "global")
+    negatives = [nb for active in actives for nb in active] if with_global else []
+    views, rows = _distinct_views(g, features, paths + negatives)
+    reprs = encode_batch_on_tape(tensors, views, tape)
+    inputs = rows[:len(paths)]
+    terms, glob_values, local_values = [], [], []
+
+    if with_global:
+        ends = np.cumsum([len(active) for active in actives])[:-1]
+        glob = infomax.global_mi(tensors, reprs, inputs, [views[r] for r in inputs],
+                                 np.split(rows[len(paths):], ends), tape, counters)
+        terms.append(glob)
+        glob_values = glob.value[:, 0].tolist()
+
     if cfg.mode in ("joint", "local"):
-        try:
-            x_nodes, y_nodes = node_partition(path, active)
-        except EmptyPartition:
-            x_nodes, y_nodes = frozenset(), frozenset()
-        if x_nodes or y_nodes:
-            x_feats = [features[n:n + 1] for n in sorted(x_nodes)]
-            y_feats = [features[n:n + 1] for n in sorted(y_nodes)]
-            local = infomax.local_mi(tensors, p, x_feats, y_feats, tape)
-    return glob, local
+        kept, x_nodes, y_nodes = [], [], []
+        for i, (path, active) in enumerate(zip(paths, actives)):
+            try:
+                x, y = node_partition(path, active)
+            except EmptyPartition:
+                continue
+            kept.append(i)
+            x_nodes.append(sorted(x))
+            y_nodes.append(sorted(y))
+        if kept:
+            local = infomax.local_mi(tensors, reprs, inputs[kept], features,
+                                     x_nodes, y_nodes, tape, counters)
+            terms.append(local)
+            local_values = local.value[:, 0].tolist()
+
+    if len(terms) == 2:
+        total = infomax.joint_objective(*terms, tape)
+    else:
+        total = tape.sum(terms[0]) if terms else None
+    return total, glob_values, local_values
 
 
 def stage_for_epoch(epoch, cfg):
@@ -114,22 +158,28 @@ def stage_for_epoch(epoch, cfg):
 
 
 def train(cfg, g, features, corpus, negative_sets, checkpoint_dir=None,
-          model=None):
+          model=None, counters=None):
     """Train on (path, NegativeSet) samples; returns (Model, trace rows).
 
     Trace rows are dicts with epoch means of the global/local/joint
-    objectives plus the curriculum stage.
+    objectives plus the curriculum stage.  ``counters``, when given, gets
+    ``batches`` (optimizer steps), ``log_floor_clamps`` (scores where
+    SAFE_LOG_FLOOR bit) and ``epoch_seconds``.
     """
     if len(corpus) != len(negative_sets):
         raise ValueError("every corpus path needs a negative set")
     features = np.asarray(features, dtype=np.float64)
     if model is None:
         model = init_model(features.shape[1], cfg)
+    if counters is None:
+        counters = {}
+    counters.update(batches=0, log_floor_clamps=0, epoch_seconds=[])
     rng = np.random.default_rng(cfg.seed)
     trace = []
     samples = list(zip(corpus, negative_sets))
 
     for epoch in range(cfg.epochs):
+        started = time.perf_counter()
         stage = stage_for_epoch(epoch, cfg)
         order = rng.permutation(len(samples))
         g_sum = l_sum = 0.0
@@ -139,23 +189,17 @@ def train(cfg, g, features, corpus, negative_sets, checkpoint_dir=None,
             tape = Tape()
             tensors = {k: tape.tensor(v, requires_grad=True)
                        for k, v in model.params.items()}
-            terms = []
-            for idx in batch:
-                glob, local = _sample_objective(
-                    tensors, g, features, samples[idx], stage, cfg, tape)
-                if glob is not None:
-                    terms.append(glob)
-                    g_sum += glob.item()
-                    g_cnt += 1
-                if local is not None:
-                    terms.append(local)
-                    l_sum += local.item()
-                    l_cnt += 1
-            if not terms:
+            total, glob_values, local_values = batch_objective(
+                tensors, g, features, [samples[i] for i in batch], stage, cfg,
+                tape, counters)
+            for value in glob_values:
+                g_sum += value
+            for value in local_values:
+                l_sum += value
+            g_cnt += len(glob_values)
+            l_cnt += len(local_values)
+            if total is None:
                 continue
-            total = terms[0]
-            for t in terms[1:]:
-                total = tape.add(total, t)
             loss = tape.scale(total, -1.0 / len(batch))
             if not np.isfinite(loss.item()):
                 raise FloatingPointError(
@@ -164,6 +208,7 @@ def train(cfg, g, features, corpus, negative_sets, checkpoint_dir=None,
             tape.backward(loss)
             grads = {k: t.grad for k, t in tensors.items() if t.grad is not None}
             adam_step(model, grads, cfg)
+            counters["batches"] += 1
         g_mean = g_sum / g_cnt if g_cnt else 0.0
         l_mean = l_sum / l_cnt if l_cnt else 0.0
         trace.append({"epoch": epoch, "global": g_mean, "local": l_mean,
@@ -171,17 +216,15 @@ def train(cfg, g, features, corpus, negative_sets, checkpoint_dir=None,
         model.epoch = epoch + 1
         if checkpoint_dir is not None:
             save_checkpoint(model, checkpoint_dir)
+        counters["epoch_seconds"].append(round(time.perf_counter() - started, 6))
     return model, trace
 
 
 def embed_corpus(model, g, features, paths):
     """|paths| x D' matrix of representations; no gradient recording."""
     features = np.asarray(features, dtype=np.float64)
-    enc = model.encoder()
-    out = np.zeros((len(paths), model.d_out))
-    for i, path in enumerate(paths):
-        out[i] = encode(enc, initial_view(g, features, path))
-    return out
+    return encode_batch(model.encoder(),
+                        [initial_view(g, features, path) for path in paths])
 
 
 def path_path_accuracy(model, g, features, paths, negative_sets):
@@ -191,23 +234,19 @@ def path_path_accuracy(model, g, features, paths, negative_sets):
     negative pairs (p_i, representation of each negative) should score
     < 0.5.
     """
+    if len(paths) != len(negative_sets):
+        raise ValueError("every path needs a negative set")
     features = np.asarray(features, dtype=np.float64)
-    enc = model.encoder()
-    w_pp, proj = model.params["W_pp"], model.params["L"]
-    correct = total = 0
-    for path, ns in zip(paths, negative_sets):
-        iv = initial_view(g, features, path)
-        p = encode(enc, iv)
-        gvec = iv.mean(axis=0) @ proj
-        if p @ w_pp @ gvec > 0:
-            correct += 1
-        total += 1
-        for nb in ns.negatives:
-            pbar = encode(enc, initial_view(g, features, nb))
-            if p @ w_pp @ pbar < 0:
-                correct += 1
-            total += 1
-    return correct / total
+    negatives = [nb for ns in negative_sets for nb in ns.negatives]
+    views, rows = _distinct_views(g, features, list(paths) + negatives)
+    reprs = encode_batch(model.encoder(), views)
+    inputs = rows[:len(paths)]
+    q = reprs[inputs] @ model.params["W_pp"]
+    pooled = np.stack([views[r].mean(axis=0) for r in inputs])
+    positive = ((q * (pooled @ model.params["L"])).sum(axis=1) > 0).sum()
+    owner = np.repeat(np.arange(len(paths)), [ns.k for ns in negative_sets])
+    negative = ((q[owner] * reprs[rows[len(paths):]]).sum(axis=1) < 0).sum()
+    return int(positive + negative) / (len(paths) + len(negatives))
 
 
 # ---- supervised fine-tuning -------------------------------------------
@@ -236,8 +275,8 @@ def finetune(model, g, features, labeled, epochs=50, lr=0.001, seed=0,
     # gradients through (and distort) the initial encoder weights.
     enc0 = EncoderParams(weights={k: params[k] for k in WEIGHT_KEYS},
                          d=model.d, h=model.hidden, d_out=model.d_out)
-    emb0 = np.stack([encode(enc0, initial_view(g, features, p))
-                     for p, _ in labeled])
+    views = [initial_view(g, features, path) for path, _ in labeled]
+    emb0 = encode_batch(enc0, views)
     y_stdized = (targets - y_mean) / y_std
     x_mean = emb0.mean(axis=0)
     xc = emb0 - x_mean
@@ -261,18 +300,11 @@ def finetune(model, g, features, labeled, epochs=50, lr=0.001, seed=0,
             tape = Tape()
             tensors = {k: tape.tensor(v, requires_grad=True)
                        for k, v in sup.params.items()}
-            terms = []
-            for idx in batch:
-                path, target = labeled[idx]
-                p = encode_on_tape(tensors, initial_view(g, features, path), tape)
-                pred = tape.add(tape.matmul(p, tensors["head_w"]),
-                                tensors["head_b"])
-                err = tape.add_const(pred, -(float(target) - y_mean) / y_std)
-                terms.append(tape.mul(err, err))
-            total = terms[0]
-            for t in terms[1:]:
-                total = tape.add(total, t)
-            loss = tape.scale(total, 1.0 / len(batch))
+            p = encode_batch_on_tape(tensors, [views[i] for i in batch], tape)
+            pred = tape.add(tape.matmul(p, tensors["head_w"]), tensors["head_b"])
+            offset = -(targets[batch] - y_mean) / y_std
+            err = tape.add(pred, tape.tensor(offset.reshape(-1, 1)))
+            loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / len(batch))
             epoch_loss += loss.item() * len(batch)
             tape.backward(loss)
             grads = {k: t.grad for k, t in tensors.items() if t.grad is not None}
@@ -283,17 +315,13 @@ def finetune(model, g, features, labeled, epochs=50, lr=0.001, seed=0,
 
 def predict_supervised(sup, g, features, paths):
     features = np.asarray(features, dtype=np.float64)
-    enc = EncoderParams(weights={k: sup.params[k] for k in WEIGHT_KEYS},
-                        d=sup.d, h=sup.hidden, d_out=sup.d_out)
     y_mean, y_std = 0.0, 1.0
     if "head_scale" in sup.params:
         y_mean, y_std = (float(x) for x in sup.params["head_scale"].ravel())
-    out = np.zeros(len(paths))
-    for i, path in enumerate(paths):
-        p = encode(enc, initial_view(g, features, path))
-        raw = float((p @ sup.params["head_w"])[0] + sup.params["head_b"][0, 0])
-        out[i] = raw * y_std + y_mean
-    return out
+    p = encode_batch(sup.encoder(),
+                     [initial_view(g, features, path) for path in paths])
+    raw = (p @ sup.params["head_w"])[:, 0] + sup.params["head_b"][0, 0]
+    return raw * y_std + y_mean
 
 
 # ---- checkpoints --------------------------------------------------------

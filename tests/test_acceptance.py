@@ -15,11 +15,11 @@ import pytest
 from pathrep import downstream, features, infomax, sampling, synth, training
 from pathrep.autodiff import Tape
 from pathrep.cli import main
-from pathrep.encoder import WEIGHT_KEYS, encode_on_tape, init_encoder
-from pathrep.graph import Path, build_graph, initial_view
+from pathrep.encoder import init_encoder
+from pathrep.graph import Path, build_graph
 from pathrep.sampling import (
     DiversityConfig, diversified_top_k, k_shortest_paths, make_negatives,
-    node_partition, path_similarity,
+    path_similarity,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -94,7 +94,10 @@ def test_criterion_1_gradient_correctness():
         g = build_graph(edges)
         feats = rng.normal(size=(6, d))
         path = Path(nodes=(0, 1, 2, 3))
-        negs = [Path(nodes=(1, 2)), Path(nodes=(2, 3, 4, 5))]
+        negs = (Path(nodes=(1, 2)), Path(nodes=(2, 3, 4, 5)))
+        sample = (path, sampling.NegativeSet(path, negs, (0.0, 0.0),
+                                             ("random", "random")))
+        cfg = training.TrainConfig(k=2, curriculum="all", mode="joint")
 
         enc = init_encoder(d, h, h, seed)
         params = dict(enc.weights)
@@ -104,16 +107,11 @@ def test_criterion_1_gradient_correctness():
         params.update(disc)
 
         def objective(tensors, tape):
-            p = encode_on_tape(tensors, initial_view(g, feats, path), tape)
-            neg_reprs = [encode_on_tape(tensors, initial_view(g, feats, nb),
-                                        tape) for nb in negs]
-            glob = infomax.global_mi(tensors, p, initial_view(g, feats, path),
-                                     neg_reprs, tape)
-            x_nodes, y_nodes = node_partition(path, negs)
-            x_feats = [feats[n:n + 1] for n in sorted(x_nodes)]
-            y_feats = [feats[n:n + 1] for n in sorted(y_nodes)]
-            local = infomax.local_mi(tensors, p, x_feats, y_feats, tape)
-            return infomax.joint_objective(glob, local, tape)
+            # the training step's batched objective on a batch of one:
+            # one padded GRU op, then both objectives' batched pair scores
+            total, _, _ = training.batch_objective(tensors, g, feats, [sample],
+                                                    1, cfg, tape)
+            return total
 
         from pathrep.autodiff import grad_check
         worst = max(worst, grad_check(objective, params))
@@ -134,14 +132,18 @@ def test_criterion_2_init_identity():
         disc = infomax.init_discriminators(d, d_out, seed)
         tape = Tape()
         tensors = {name: tape.tensor(v) for name, v in disc.items()}
-        p = tape.tensor(rng.normal(size=(1, d_out)))
+        p = rng.normal(size=(1, d_out))
         iv = rng.normal(size=(z, d))
-        neg_reprs = [tape.tensor(rng.normal(size=(1, d_out)))
-                     for _ in range(k)]
+        neg_reprs = [rng.normal(size=(1, d_out)) for _ in range(k)]
         x_feats = [rng.normal(size=(1, d)) for _ in range(4)]
         y_feats = [rng.normal(size=(1, d)) for _ in range(2)]
-        glob = infomax.global_mi(tensors, p, iv, neg_reprs, tape).item()
-        local = infomax.local_mi(tensors, p, x_feats, y_feats, tape).item()
+        # a batch of one: p is row 0 of the representations, its negatives
+        # rows 1..k; X is feature rows 0..3, Y rows 4..5
+        reprs = tape.tensor(np.vstack([p] + neg_reprs))
+        glob = infomax.global_mi(tensors, reprs, [0], [iv],
+                                 [list(range(1, k + 1))], tape).item()
+        local = infomax.local_mi(tensors, reprs, [0], np.vstack(x_feats + y_feats),
+                                 [[0, 1, 2, 3]], [[4, 5]], tape).item()
         worst = max(worst, abs(glob + np.log(2)), abs(local + np.log(2)))
     report(2, worst < 1e-9,
            f"global and local objectives at zero-init within {worst:.3g} "

@@ -126,3 +126,30 @@ def test_forward_replay_identical():
         return t.sum(t.sigmoid(t.matmul(t.tensor(x), t.tensor(x)))).item()
 
     assert run() == run()
+
+
+def test_row_ops_values_and_gradients():
+    t = Tape()
+    a = t.tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    picked = t.gather_rows(a, [1, 0, 1])
+    assert np.array_equal(picked.value, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
+    dots = t.row_dot(picked, t.tensor(np.ones((3, 2))))
+    assert np.array_equal(dots.value, [[7.0], [3.0], [7.0]])
+    means = t.segment_mean(dots, [1, 0, 1], 2)
+    assert np.array_equal(means.value, [[3.0], [7.0]])
+    t.backward(t.sum(means))
+    # row 1 is taken twice, each time with weight 1/2
+    assert np.array_equal(a.grad, [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError):
+        t.segment_mean(dots, [0, 0, 2], 3)
+
+    rng = np.random.default_rng(5)
+    coef = rng.normal(size=(2, 1))
+
+    def f(ts, tape):
+        rows = tape.gather_rows(ts["a"], [2, 0, 2, 1])
+        means = tape.segment_mean(tape.row_dot(rows, ts["b"]), [1, 0, 1, 1], 2)
+        return tape.sum(tape.mul(means, tape.tensor(coef)))
+
+    assert grad_check(f, {"a": rng.normal(size=(3, 2)),
+                          "b": rng.normal(size=(4, 2))}) < 1e-7

@@ -104,6 +104,17 @@ def test_train_losstrace(pipeline):
     assert len(lines) == 3
 
 
+def test_train_manifest_counters(pipeline):
+    # 30 paths in batches of 32: one optimizer step per epoch, 2 epochs
+    root, *_ = pipeline
+    counters = json.load(open(root / "ckpt" / "manifest_train.json"))["counters"]
+    assert sorted(counters) == ["batches", "epoch_seconds", "log_floor_clamps"]
+    assert counters["batches"] == 2
+    assert counters["log_floor_clamps"] == 0
+    assert len(counters["epoch_seconds"]) == 2
+    assert all(s > 0 for s in counters["epoch_seconds"])
+
+
 def test_embed_shape(pipeline):
     *_, emb = pipeline
     table = load_features(emb)
@@ -250,3 +261,22 @@ def test_eval_rejects_bad_labels(pipeline, tmp_path, capsys, case, message):
     bad.write_text("".join(line + "\n" for line in lines))
     assert _eval(emb, str(bad)) == 1
     assert f"{bad}: {message}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("rows", [20, 33])
+@pytest.mark.parametrize("subcommand", ["finetune", "ablate"])
+def test_label_count_must_match_corpus(pipeline, tmp_path, capsys, subcommand, rows):
+    _, data, feats, _, ckpt, _ = pipeline
+    lines = open(f"{data}/labels.csv").read().splitlines()
+    extra = [f"{i},100,0,0.5" for i in range(len(lines) - 1, rows)]
+    bad = tmp_path / "labels.csv"
+    bad.write_text("".join(line + "\n" for line in (lines + extra)[:rows + 1]))
+    common = ["--graph", f"{data}/graph.csv", "--features", feats,
+              "--paths", f"{data}/paths.txt", "--labels", str(bad), "--epochs", "1"]
+    if subcommand == "finetune":
+        argv = ["finetune", "--ckpt", ckpt, "--out", str(tmp_path / "sup"), *common]
+    else:
+        argv = ["ablate", "--axis", "mi-mode", "--seeds", "0", *common]
+    assert main(argv) == 1
+    assert (f"{bad}: {rows} label rows for 30 paths in {data}/paths.txt"
+            in _one_line_error(capsys))

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from pathrep import infomax
 from pathrep.autodiff import Tape
 from pathrep.infomax import (
-    LN2, global_mi, init_discriminators, joint_objective, local_mi,
-    project_view, score_path_node, score_path_path,
+    LN2, SAFE_LOG_FLOOR, global_mi, init_discriminators, joint_objective, local_mi,
 )
 
 
@@ -17,21 +15,39 @@ def tensors_on(tape, params):
     return {k: tape.tensor(v, requires_grad=True) for k, v in params.items()}
 
 
+def global_one(ts, p, iv, negs, tape):
+    """global_mi on a batch of one: p and its negatives are rows 0..K."""
+    reprs = tape.tensor(np.vstack([p] + list(negs)))
+    return global_mi(ts, reprs, [0], [iv], [list(range(1, 1 + len(negs)))], tape)
+
+
+def local_one(ts, p, xf, yf, tape, counters=None):
+    """local_mi on a batch of one over the 1 x D feature rows xf and yf."""
+    feats = np.vstack(list(xf) + list(yf)) if xf or yf else np.zeros((0, 4))
+    return local_mi(ts, tape.tensor(p), [0], feats, [list(range(len(xf)))],
+                    [list(range(len(xf), len(xf) + len(yf)))], tape, counters)
+
+
+def sig(x):
+    return 1 / (1 + np.exp(-x))
+
+
 def test_zero_init_path_path_score_half():
+    # both pairs score exactly 0.5, so the objective is exactly log 0.5
     tape = Tape()
     ts = tensors_on(tape, make_disc())
     rng = np.random.default_rng(0)
-    p = tape.tensor(rng.normal(size=(1, 3)))
-    g = tape.tensor(rng.normal(size=(1, 3)))
-    assert score_path_path(ts, p, g, tape).item() == 0.5
+    p = rng.normal(size=(1, 3))
+    val = global_one(ts, p, rng.normal(size=(3, 4)), [rng.normal(size=(1, 3))], tape)
+    assert val.item() == np.log(0.5)
 
 
 def test_zero_init_path_node_score_half():
     tape = Tape()
     ts = tensors_on(tape, make_disc())
-    p = tape.tensor(np.random.default_rng(1).normal(size=(1, 3)))
-    v = tape.tensor(np.random.default_rng(2).normal(size=(1, 4)))
-    assert score_path_node(ts, p, v, tape).item() == 0.5
+    p = np.random.default_rng(1).normal(size=(1, 3))
+    v = np.random.default_rng(2).normal(size=(1, 4))
+    assert local_one(ts, p, [v], [], tape).item() == np.log(0.5)
 
 
 def test_zero_node_feature_forces_half():
@@ -39,32 +55,33 @@ def test_zero_node_feature_forces_half():
     params["W_pn"] = np.random.default_rng(3).normal(size=params["W_pn"].shape)
     tape = Tape()
     ts = tensors_on(tape, params)
-    p = tape.tensor(np.random.default_rng(4).normal(size=(1, 3)))
-    assert score_path_node(ts, p, tape.tensor(np.zeros((1, 4))), tape).item() == 0.5
+    p = np.random.default_rng(4).normal(size=(1, 3))
+    assert local_one(ts, p, [], [np.zeros((1, 4))], tape).item() == np.log(0.5)
 
 
 def test_score_monotone_in_bilinear_form():
+    # a negative more aligned with p under W_pp scores higher, which
+    # lowers its log(1 - score) term
     params = make_disc()
     params["W_pp"] = np.eye(3)
-    prev = -1.0
+    iv = np.random.default_rng(5).normal(size=(3, 4))
+    prev = 1.0
     for scale in (0.5, 1.0, 2.0, 4.0):
         tape = Tape()
         ts = tensors_on(tape, params)
-        p = tape.tensor(np.ones((1, 3)))
-        g = tape.tensor(scale * np.ones((1, 3)))
-        s = score_path_path(ts, p, g, tape).item()
-        assert s > prev
-        prev = s
+        val = global_one(ts, np.ones((1, 3)), iv, [scale * np.ones((1, 3))], tape).item()
+        assert val < prev
+        prev = val
 
 
 def test_global_mi_at_init_is_minus_ln2():
     rng = np.random.default_rng(5)
     tape = Tape()
     ts = tensors_on(tape, make_disc())
-    p = tape.tensor(rng.normal(size=(1, 3)))
+    p = rng.normal(size=(1, 3))
     iv = rng.normal(size=(6, 4))
-    negs = [tape.tensor(rng.normal(size=(1, 3))) for _ in range(4)]
-    val = global_mi(ts, p, iv, negs, tape).item()
+    negs = [rng.normal(size=(1, 3)) for _ in range(4)]
+    val = global_one(ts, p, iv, negs, tape).item()
     assert val == pytest.approx(-LN2, abs=1e-9)
 
 
@@ -75,18 +92,15 @@ def test_global_mi_k4_weighting():
     params["W_pp"] = rng.normal(size=(3, 3))
     tape = Tape()
     ts = tensors_on(tape, params)
-    p = tape.tensor(rng.normal(size=(1, 3)))
+    p = rng.normal(size=(1, 3))
     iv = rng.normal(size=(5, 4))
-    negs = [tape.tensor(rng.normal(size=(1, 3))) for _ in range(4)]
-    got = global_mi(ts, p, iv, negs, tape).item()
-
-    def sig(x):
-        return 1 / (1 + np.exp(-x))
+    negs = [rng.normal(size=(1, 3)) for _ in range(4)]
+    got = global_one(ts, p, iv, negs, tape).item()
 
     g = iv.mean(axis=0) @ params["L"]
-    terms = [np.log(sig(p.value[0] @ params["W_pp"] @ g))]
+    terms = [np.log(sig(p[0] @ params["W_pp"] @ g))]
     for nb in negs:
-        terms.append(np.log(1 - sig(p.value[0] @ params["W_pp"] @ nb.value[0])))
+        terms.append(np.log(1 - sig(p[0] @ params["W_pp"] @ nb[0])))
     assert got == pytest.approx(sum(terms) / 5)
 
 
@@ -97,10 +111,8 @@ def test_global_mi_tends_to_zero_for_perfect_discriminator():
     params["L"] = np.eye(3)
     tape = Tape()
     ts = tensors_on(tape, params)
-    p = tape.tensor(np.ones((1, 3)))
-    iv = np.ones((2, 3))
-    negs = [tape.tensor(-np.ones((1, 3)))]
-    val = global_mi(ts, p, iv, negs, tape).item()
+    val = global_one(ts, np.ones((1, 3)), np.ones((2, 3)), [-np.ones((1, 3))],
+                     tape).item()
     assert -1e-6 < val <= 0
 
 
@@ -108,10 +120,10 @@ def test_local_mi_at_init_is_minus_ln2():
     rng = np.random.default_rng(7)
     tape = Tape()
     ts = tensors_on(tape, make_disc())
-    p = tape.tensor(rng.normal(size=(1, 3)))
+    p = rng.normal(size=(1, 3))
     xf = [rng.normal(size=(1, 4)) for _ in range(2)]
     yf = [rng.normal(size=(1, 4)) for _ in range(3)]
-    assert local_mi(ts, p, xf, yf, tape).item() == pytest.approx(-LN2, abs=1e-9)
+    assert local_one(ts, p, xf, yf, tape).item() == pytest.approx(-LN2, abs=1e-9)
 
 
 def test_local_mi_denominator_counts_both_sets():
@@ -121,13 +133,9 @@ def test_local_mi_denominator_counts_both_sets():
     tape = Tape()
     ts = tensors_on(tape, params)
     pv = rng.normal(size=(1, 3))
-    p = tape.tensor(pv)
     xf = [rng.normal(size=(1, 4)) for _ in range(2)]
     yf = [rng.normal(size=(1, 4)) for _ in range(3)]
-    got = local_mi(ts, p, xf, yf, tape).item()
-
-    def sig(x):
-        return 1 / (1 + np.exp(-x))
+    got = local_one(ts, pv, xf, yf, tape).item()
 
     terms = [np.log(sig(pv[0] @ params["W_pn"] @ v[0])) for v in xf]
     terms += [np.log(1 - sig(pv[0] @ params["W_pn"] @ v[0])) for v in yf]
@@ -142,10 +150,7 @@ def test_local_mi_negative_only_normalized_by_y():
     ts = tensors_on(tape, params)
     pv = rng.normal(size=(1, 3))
     yf = [rng.normal(size=(1, 4)) for _ in range(3)]
-    got = local_mi(ts, tape.tensor(pv), [], yf, tape).item()
-
-    def sig(x):
-        return 1 / (1 + np.exp(-x))
+    got = local_one(ts, pv, [], yf, tape).item()
 
     terms = [np.log(1 - sig(pv[0] @ params["W_pn"] @ v[0])) for v in yf]
     assert got == pytest.approx(sum(terms) / 3)
@@ -155,20 +160,17 @@ def test_local_mi_requires_some_nodes():
     tape = Tape()
     ts = tensors_on(tape, make_disc())
     with pytest.raises(ValueError):
-        local_mi(ts, tape.tensor(np.zeros((1, 3))), [], [], tape)
+        local_one(ts, np.zeros((1, 3)), [], [], tape)
 
 
 def test_joint_at_init():
     rng = np.random.default_rng(10)
     tape = Tape()
     ts = tensors_on(tape, make_disc())
-    p = tape.tensor(rng.normal(size=(1, 3)))
+    p = rng.normal(size=(1, 3))
     iv = rng.normal(size=(3, 4))
-    negs = [tape.tensor(rng.normal(size=(1, 3)))]
-    xf = [rng.normal(size=(1, 4))]
-    yf = [rng.normal(size=(1, 4))]
-    g = global_mi(ts, p, iv, negs, tape)
-    l = local_mi(ts, p, xf, yf, tape)
+    g = global_one(ts, p, iv, [rng.normal(size=(1, 3))], tape)
+    l = local_one(ts, p, [rng.normal(size=(1, 4))], [rng.normal(size=(1, 4))], tape)
     assert joint_objective(g, l, tape).item() == pytest.approx(-2 * LN2, abs=1e-9)
 
 
@@ -180,17 +182,42 @@ def test_objectives_bounded_above_by_zero():
         params["W_pn"] = rng.normal(size=(3, 4))
         tape = Tape()
         ts = tensors_on(tape, params)
-        p = tape.tensor(rng.normal(size=(1, 3)))
+        p = rng.normal(size=(1, 3))
         iv = rng.normal(size=(4, 4))
-        negs = [tape.tensor(rng.normal(size=(1, 3))) for _ in range(2)]
-        assert global_mi(ts, p, iv, negs, tape).item() <= 0
+        negs = [rng.normal(size=(1, 3)) for _ in range(2)]
+        assert global_one(ts, p, iv, negs, tape).item() <= 0
         xf = [rng.normal(size=(1, 4))]
         yf = [rng.normal(size=(1, 4))]
-        assert local_mi(ts, p, xf, yf, tape).item() <= 0
+        assert local_one(ts, p, xf, yf, tape).item() <= 0
 
 
 def test_projection_shape():
+    # each sample's view is pooled and projected on its own: a batch of
+    # three views of different lengths gives the three batch-of-one values
+    rng = np.random.default_rng(0)
+    params = make_disc()
+    params["W_pp"] = rng.normal(size=(3, 3))
+    reprs = rng.normal(size=(4, 3))
+    views = [rng.normal(size=(z, 4)) for z in (7, 1, 3)]
+    negatives = [[3], [0, 3], [1, 2, 0]]
     tape = Tape()
-    ts = tensors_on(tape, make_disc())
-    out = project_view(ts, np.random.default_rng(0).normal(size=(7, 4)), tape)
-    assert out.shape == (1, 3)
+    ts = tensors_on(tape, params)
+    out = global_mi(ts, tape.tensor(reprs), [0, 1, 2], views, negatives, tape)
+    assert out.shape == (3, 1)
+    for i in range(3):
+        one = global_one(ts, reprs[i:i + 1], views[i],
+                         [reprs[j:j + 1] for j in negatives[i]], tape)
+        assert out.value[i, 0] == pytest.approx(one.item(), abs=1e-15)
+
+
+def test_log_floor_clamps_counted():
+    # a saturated negative-only node scores 1 - sigma(s) = 0 < SAFE_LOG_FLOOR
+    params = make_disc()
+    params["W_pn"] = np.full(params["W_pn"].shape, 100.0)
+    tape = Tape()
+    ts = tensors_on(tape, params)
+    counters = {}
+    val = local_one(ts, np.ones((1, 3)), [np.ones((1, 4))], [np.ones((1, 4))],
+                    tape, counters)
+    assert counters == {"log_floor_clamps": 1}
+    assert val.item() == pytest.approx(np.log(SAFE_LOG_FLOOR) / 2)

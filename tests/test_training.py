@@ -3,15 +3,17 @@ import os
 import numpy as np
 import pytest
 
+import per_sample
 from pathrep import synth
-from pathrep.sampling import make_negatives
+from pathrep.autodiff import Tape
+from pathrep.sampling import EmptyPartition, NegativeSet, make_negatives, node_partition
 from pathrep.encoder import encode
 from pathrep.graph import initial_view
 from pathrep.infomax import LN2
 from pathrep.training import (
-    Model, TrainConfig, embed_corpus, finetune, init_model, load_checkpoint,
-    path_path_accuracy, predict_supervised, save_checkpoint, stage_for_epoch,
-    train,
+    Model, TrainConfig, batch_objective, embed_corpus, finetune, init_model,
+    load_checkpoint, path_path_accuracy, predict_supervised, save_checkpoint,
+    stage_for_epoch, train,
 )
 
 
@@ -190,3 +192,128 @@ def test_config_validation():
         TrainConfig(curriculum="sometimes")
     with pytest.raises(ValueError):
         TrainConfig(mode="both")
+
+
+# ---- batched objective against the per-sample reference ----------------
+
+
+def _special_batch(corpus, neg_sets):
+    """Six corpus samples plus: the first of them again, a sample whose
+    negatives include another sample's input, and one whose node
+    partition is empty at every stage."""
+    batch = list(zip(corpus, neg_sets))[2:8]     # input lengths 2, 4 and 5
+    (p0, _), (p1, ns1) = batch[:2]
+    batch.append(batch[0])
+    batch.append((p1, NegativeSet(p1, (p0,) + ns1.negatives[1:], ns1.overlaps,
+                                  ns1.kinds)))
+    batch.append((p0, NegativeSet(p0, (p0, p0), (1.0, 1.0), ("random", "random"))))
+    return batch
+
+
+def _objective(fn, params, g, features, batch, stage, cfg):
+    tape = Tape()
+    tensors = {k: tape.tensor(v, requires_grad=True) for k, v in params.items()}
+    total, glob_values, local_values = fn(tensors, g, features, batch, stage, cfg, tape)
+    if total is None:
+        return None, glob_values, local_values, {}
+    tape.backward(total)
+    return (total.item(), glob_values, local_values,
+            {k: t.grad for k, t in tensors.items() if t.grad is not None})
+
+
+@pytest.mark.parametrize("mode", ["joint", "global", "local"])
+@pytest.mark.parametrize("curriculum,stage", [("staged", 1), ("staged", 4), ("all", 1)])
+@pytest.mark.parametrize("scale", [0.5, 40.0])
+def test_batched_objective_matches_per_sample(tiny_setup, mode, curriculum, stage,
+                                              scale):
+    g, features, corpus, neg_sets = tiny_setup
+    batch = _special_batch(corpus, neg_sets)
+    assert len({len(path.nodes) for path, _ in batch}) > 2
+    with pytest.raises(EmptyPartition):
+        node_partition(batch[-1][0], batch[-1][1].negatives)
+    cfg = TrainConfig(k=4, mode=mode, curriculum=curriculum, d_out=5, seed=3)
+    rng = np.random.default_rng(int(scale))
+    params = {k: v + rng.normal(scale=0.2, size=v.shape)
+              for k, v in init_model(features.shape[1], cfg).params.items()}
+    # a large scale saturates some scores, so the log floor's mask is compared too
+    params["W_pp"] = rng.normal(scale=scale, size=params["W_pp"].shape)
+    params["W_pn"] = rng.normal(scale=scale, size=params["W_pn"].shape)
+
+    got = _objective(batch_objective, params, g, features, batch, stage, cfg)
+    want = _objective(per_sample.batch_objective, params, g, features, batch, stage, cfg)
+    assert got[0] == pytest.approx(want[0], abs=1e-10)
+    for values, expected in zip(got[1:3], want[1:3]):
+        assert len(values) == len(expected)
+        assert np.abs(np.subtract(values, expected)).max(initial=0.0) <= 1e-10
+    assert sorted(got[3]) == sorted(want[3])
+    for key, grad in want[3].items():
+        assert np.abs(got[3][key] - grad).max() <= 1e-10, key
+
+
+def test_batched_objective_without_terms(tiny_setup):
+    # local mode, every partition empty: no term, so train skips the batch
+    g, features, corpus, _ = tiny_setup
+    p0 = corpus[0]
+    batch = [(p0, NegativeSet(p0, (p0,), (1.0,), ("random",)))] * 2
+    cfg = TrainConfig(mode="local", d_out=5)
+    params = init_model(features.shape[1], cfg).params
+    assert _objective(batch_objective, params, g, features, batch, 1, cfg) == \
+        (None, [], [], {})
+
+
+def test_batch_encodes_each_distinct_path_once(tiny_setup, monkeypatch):
+    # one GRU pass per batch, one initial view per distinct path: the
+    # repeated sample and the input reused as a negative are merged
+    from pathrep import encoder, training
+    g, features, corpus, neg_sets = tiny_setup
+    batch = _special_batch(corpus, neg_sets)
+    cfg = TrainConfig(k=4, curriculum="all", d_out=5)
+    calls = {"view": [], "gru": 0}
+
+    def view(g_, feats, path):
+        calls["view"].append(path.nodes)
+        return initial_view(g_, feats, path)
+
+    def gru(*args):
+        calls["gru"] += 1
+        return forward(*args)
+
+    forward = encoder.gru_forward
+    monkeypatch.setattr(training, "initial_view", view)
+    monkeypatch.setattr(encoder, "gru_forward", gru)
+    _objective(batch_objective, init_model(features.shape[1], cfg).params,
+               g, features, batch, 1, cfg)
+    distinct = {p.nodes for path, ns in batch for p in (path, *ns.negatives)}
+    assert sorted(calls["view"]) == sorted(distinct)
+    assert calls["gru"] == 1
+
+
+def test_accuracy_matches_per_path_loop(tiny_setup):
+    g, features, corpus, neg_sets = tiny_setup
+    model, _ = train(TrainConfig(epochs=3, lr=0.01, d_out=5, seed=2), g,
+                     features, corpus, neg_sets)
+    enc = model.encoder()
+    w_pp, proj = model.params["W_pp"], model.params["L"]
+    correct = total = 0
+    for path, ns in zip(corpus, neg_sets):
+        iv = initial_view(g, features, path)
+        p = encode(enc, iv)
+        correct += int(p @ w_pp @ (iv.mean(axis=0) @ proj) > 0)
+        for nb in ns.negatives:
+            correct += int(p @ w_pp @ encode(enc, initial_view(g, features, nb)) < 0)
+        total += 1 + ns.k
+    acc = path_path_accuracy(model, g, features, corpus, neg_sets)
+    assert 0 < acc < 1
+    assert acc == correct / total
+
+
+def test_predict_supervised_matches_per_path(tiny_setup):
+    g, features, corpus, _ = tiny_setup
+    model = init_model(features.shape[1], TrainConfig(d_out=5, seed=0))
+    labeled = [(p, 10.0 + len(p.nodes)) for p in corpus]
+    sup, _ = finetune(model, g, features, labeled, epochs=2, lr=0.01)
+    y_mean, y_std = sup.params["head_scale"][0]
+    want = [(encode(sup.encoder(), initial_view(g, features, p)) @ sup.params["head_w"])[0]
+            * y_std + sup.params["head_b"][0, 0] * y_std + y_mean for p in corpus]
+    got = predict_supervised(sup, g, features, corpus)
+    assert np.abs(got - want).max() < 1e-12
