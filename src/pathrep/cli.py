@@ -173,7 +173,8 @@ def cmd_synth(args):
                             label_noise=args.label_noise, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     g = synth.gen_graph(cfg)
-    corpus = synth.gen_paths(g, cfg)
+    counters = {}
+    corpus = synth.gen_paths(g, cfg, counters=counters)
     times, scores, groups = synth.gen_labels(g, corpus, cfg)
     graph_file = os.path.join(args.out, "graph.csv")
     paths_file = os.path.join(args.out, "paths.txt")
@@ -182,7 +183,8 @@ def cmd_synth(args):
     graph.save_paths(corpus, paths_file)
     _save_labels(labels_file, times, scores, groups)
     _write_manifest(args.out, "synth", vars(args), [],
-                    [graph_file, paths_file, labels_file], args.seed, started)
+                    [graph_file, paths_file, labels_file], args.seed, started,
+                    counters=counters)
     print(f"synth: wrote {g.n} nodes, {g.m} edges, {len(corpus)} paths to {args.out}")
     return 0
 

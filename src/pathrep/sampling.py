@@ -4,9 +4,15 @@ Negatives for an input path come from two sources: random corpus paths
 (easy) and same-source/destination alternatives from a diversified
 k-shortest-path stream (hard).  The final set is ordered by node overlap
 with the input path so training can proceed easy-to-hard.
+
+The stream of loopless s->d paths is an A* search guided by the exact
+distance to the destination (one reverse Dijkstra, memoised per
+destination within a ``make_negatives`` call), with a release rule that
+keeps its order exactly (length, node sequence) under float ties.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,32 +67,74 @@ class NegativeSet:
         return len(self.negatives)
 
 
-def shortest_path_stream(g, s, d, max_pops=2_000_000):
+def distances_to(g, d):
+    """Shortest distance from every node to ``d``, inf where ``d`` cannot be
+    reached: one Dijkstra over the reversed edges."""
+    into = [[] for _ in range(g.n)]
+    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()):
+        into[v].append((u, w))
+    dist = [math.inf] * g.n
+    dist[d] = 0.0
+    heap = [(0.0, d)]
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if dv > dist[v]:
+            continue
+        for u, w in into[v]:
+            du = dv + w
+            if du < dist[u]:
+                dist[u] = du
+                heapq.heappush(heap, (du, u))
+    return dist
+
+
+# A* keys are scaled by this so that no rounding of ``length + h`` can lift
+# a partial path's key above the float length of a path it completes to;
+# sums of non-negative terms round by far less than 1e-9 of their value.
+_DEFLATE = 1 - 1e-9
+
+
+def shortest_path_stream(g, s, d, max_pops=2_000_000, dist=None):
     """Yield loopless s->d paths in increasing (length, node-sequence) order.
 
-    Best-first enumeration over partial paths.  Keys popped from the heap
-    are monotonically non-decreasing, so yields come out sorted exactly
-    like a brute-force enumeration sorted by total length with ties broken
+    A* over partial paths, guided by the exact remaining distance ``h`` to
+    ``d`` (``dist``, as from ``distances_to(g, d)``; computed when None).
+    Partial paths that cannot reach ``d`` are dropped.  The deflated key
+    ``(length + h) * _DEFLATE`` never exceeds the length of any completion,
+    so a completed path is held in a second heap, ordered by (length, node
+    sequence), and released only once every queued partial path's key is
+    strictly above its length.  The yields therefore come out exactly like
+    a brute-force enumeration sorted by total length with ties broken
     lexicographically on the node sequence.  Raises SearchLimit once
     ``max_pops`` partial paths have been popped with more still queued.
     """
     if s == d:
         raise ValueError("source equals destination")
-    heap = [(0.0, (s,))]
+    h = distances_to(g, d) if dist is None else dist
+    if h[s] == math.inf:
+        return
+    heap = [(h[s] * _DEFLATE, (s,), 0.0)]
+    done = []
     pops = 0
-    while heap:
-        if pops == max_pops:
-            raise SearchLimit(s, d, pops)
-        length, nodes = heapq.heappop(heap)
-        pops += 1
-        last = nodes[-1]
-        if last == d:
+    while heap or done:
+        if done and (not heap or heap[0][0] > done[0][0]):
+            length, nodes = heapq.heappop(done)
             yield Path(nodes=nodes), length
             continue
+        if pops == max_pops:
+            raise SearchLimit(s, d, pops)
+        _, nodes, length = heapq.heappop(heap)
+        pops += 1
+        last = nodes[-1]
         in_path = set(nodes)
-        for v, w in zip(g.out_neighbors(last), g.out_lengths(last)):
-            if int(v) not in in_path:
-                heapq.heappush(heap, (length + float(w), nodes + (int(v),)))
+        for v, w in zip(g.out_neighbors(last).tolist(), g.out_lengths(last).tolist()):
+            if v in in_path:
+                continue
+            if v == d:
+                heapq.heappush(done, (length + w, nodes + (v,)))
+            elif h[v] != math.inf:
+                heapq.heappush(heap, ((length + w + h[v]) * _DEFLATE,
+                                      nodes + (v,), length + w))
 
 
 def k_shortest_paths(g, s, d, k):
@@ -115,17 +163,17 @@ def path_similarity(a, b):
     return len(sa & sb) / len(union)
 
 
-def diversified_top_k(g, s, d, cfg, max_candidates=5000):
+def diversified_top_k(g, s, d, cfg, max_candidates=5000, dist=None):
     """Greedy diversity filter over the shortest-path stream.
 
     Accept a candidate iff its similarity to every already-accepted path
     is <= tau_div; stop at k accepted or when the stream dries up.
     Returns (paths, complete) where complete is False if fewer than k
-    paths were accepted.
+    paths were accepted.  ``dist`` is passed on to the stream.
     """
     accepted = []
     seen_any = False
-    for i, (path, _) in enumerate(shortest_path_stream(g, s, d)):
+    for i, (path, _) in enumerate(shortest_path_stream(g, s, d, dist=dist)):
         seen_any = True
         if all(path_similarity(path, p) <= cfg.tau_div for p in accepted):
             accepted.append(path)
@@ -152,12 +200,16 @@ def _plan(strategy, k, taus):
 
 def _alternatives(g, s, d, cfg, max_candidates, searches):
     """Diversified s->d candidates, memoised in ``searches``; a search that
-    hit the enumeration limit is stored as None."""
+    hit the enumeration limit is stored as None.  The distances to ``d``
+    that guide the searches are memoised there too, under ("dist", d)."""
     key = (s, d, cfg, max_candidates)
     if key not in searches:
+        if ("dist", d) not in searches:
+            searches["dist", d] = distances_to(g, d)
         try:
             searches[key], _ = diversified_top_k(g, s, d, cfg,
-                                                 max_candidates=max_candidates)
+                                                 max_candidates=max_candidates,
+                                                 dist=searches["dist", d])
         except SearchLimit:
             searches[key] = None
         except NoPath:
@@ -180,7 +232,8 @@ def sample_negatives(input_path, corpus, g, seed, k=4, taus=(0.6, 0.9),
     A diversified pick with no unused alternative left is replaced by a
     random "backfill" path, and the set is flagged.  The result is sorted
     by overlap with the input (non-decreasing, stable).  ``searches`` is a
-    dict that memoises the top-k searches across calls.
+    dict that memoises the top-k searches, and the distances that guide
+    them, across calls.
     """
     n_random, pick_taus = _plan(strategy, k, taus)
     rng = np.random.default_rng(seed)

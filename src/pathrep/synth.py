@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Path, build_graph, validate_path
-from .sampling import NoPath, SearchLimit, shortest_path_stream
+from .sampling import SearchLimit, shortest_path_stream
 
 
 @dataclass(frozen=True)
@@ -55,35 +55,37 @@ def gen_graph(cfg):
     return build_graph(edges)
 
 
-def gen_paths(g, cfg):
+def gen_paths(g, cfg, counters=None):
     """Corpus of validated loopless paths: shortest path per sampled OD
-    pair plus up to two bounded detour variants."""
+    pair plus up to two bounded detour variants.
+
+    If ``counters`` is a dict, it receives ``skipped_od``, the sampled OD
+    pairs that gave no path, and ``search_limit_od``, the pairs whose
+    search hit the enumeration limit (their variants found before it are
+    kept).
+    """
     rng = np.random.default_rng(cfg.seed + 1)
     corpus = []
     seen = set()
     attempts = 0
+    skipped = limited = 0
     while len(corpus) < cfg.n_paths and attempts < 50 * cfg.n_paths:
         attempts += 1
         s, d = rng.choice(g.n, size=2, replace=False)
-        s, d = int(s), int(d)
+        variants = []
         try:
-            stream = shortest_path_stream(g, s, d)
-            first = next(stream, None)
-        except NoPath:
-            continue
-        if first is None:
-            continue
-        shortest, base_len = first
-        variants = [shortest]
-        try:
-            for path, length in stream:
-                if length > cfg.detour_factor * base_len:
-                    break
-                if len(variants) >= cfg.variants_per_od:
+            for path, length in shortest_path_stream(g, int(s), int(d)):
+                if not variants:
+                    base_len = length
+                elif length > cfg.detour_factor * base_len:
                     break
                 variants.append(path)
+                if len(variants) >= cfg.variants_per_od:
+                    break
         except SearchLimit:
-            pass                # keep the variants found before the limit
+            limited += 1
+        if not variants:
+            skipped += 1
         for p in variants:
             if len(corpus) >= cfg.n_paths:
                 break
@@ -91,6 +93,9 @@ def gen_paths(g, cfg):
                 continue
             seen.add(p.nodes)
             corpus.append(validate_path(g, p.nodes))
+    if counters is not None:
+        counters["skipped_od"] = skipped
+        counters["search_limit_od"] = limited
     if len(corpus) < cfg.n_paths:
         raise RuntimeError(
             f"could only generate {len(corpus)} of {cfg.n_paths} paths")

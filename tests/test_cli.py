@@ -44,6 +44,7 @@ def test_synth_outputs_and_manifest(pipeline):
     assert manifest["subcommand"] == "synth"
     assert manifest["seed"] == 7
     assert len(manifest["outputs"]) == 3
+    assert manifest["counters"] == {"skipped_od": 0, "search_limit_od": 0}
 
 
 def test_negatives_records(pipeline):

@@ -2,12 +2,12 @@ import functools
 import hashlib
 import json
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
 
-from pathrep import sampling
+from pathrep import sampling, synth
 from pathrep.graph import Path, build_graph, validate_path
 from pathrep.sampling import (
     DiversityConfig, EmptyPartition, NoPath, SearchLimit, curriculum_schedule,
@@ -34,13 +34,21 @@ def brute_force_paths(g, s, d):
     return out
 
 
-def random_graph(rng, n, p_edge=0.35):
+def random_graph(rng, n, p_edge=0.35, weight=lambda rng: float(rng.integers(1, 10))):
     edges = []
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < p_edge:
-                edges.append((u, v, float(rng.integers(1, 10))))
+                edges.append((u, v, weight(rng)))
     return build_graph(edges) if edges else None
+
+
+# Weights that make many equal-length paths whose float sums depend on the
+# order of addition, and weights that make zero-length hops.
+TIE_WEIGHTS = {
+    "tie-heavy float": lambda rng: float(rng.choice([0.1, 0.2, 0.3, 0.7, 1.1])),
+    "zero-including": lambda rng: float(rng.choice([0.0, 0.1, 0.2, 0.3, 0.7])),
+}
 
 
 def test_triangle_top2(triangle_graph):
@@ -88,6 +96,43 @@ def test_stream_matches_brute_force_enumeration():
         got = [(length, p.nodes) for p, length in shortest_path_stream(g, s, d)]
         assert got == expect
         checked += 1
+
+
+@pytest.mark.parametrize("kind", sorted(TIE_WEIGHTS))
+def test_stream_tie_order_matches_brute_force(kind):
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 400:
+        g = random_graph(rng, 7, p_edge=0.5, weight=TIE_WEIGHTS[kind])
+        if g is None:
+            continue
+        s, d = 0, g.n - 1
+        expect = brute_force_paths(g, s, d)[:6]
+        got = [(length, p.nodes)
+               for p, length in islice(shortest_path_stream(g, s, d), 6)]
+        assert got == expect
+        checked += 1
+
+
+def test_stream_reaches_far_pairs_under_small_limit(monkeypatch):
+    g = synth.gen_graph(synth.SynthConfig(grid_w=10, grid_h=10))
+    monkeypatch.setattr(sampling, "shortest_path_stream",
+                        functools.partial(shortest_path_stream, max_pops=2000))
+    paths = k_shortest_paths(g, 0, 99, 5)
+    assert len(paths) == 5
+    assert len({p.nodes for p in paths}) == 5
+    assert all(p.source == 0 and p.destination == 99 for p in paths)
+
+
+def test_stream_unreachable_destination_searches_nothing():
+    # node 100 has an out-edge only, so no path from the 10x10 grid reaches it
+    g = synth.gen_graph(synth.SynthConfig(grid_w=10, grid_h=10))
+    g = build_graph([*zip(g.edge_u.tolist(), g.edge_v.tolist(),
+                          g.edge_len.tolist()), (100, 0, 1.0)])
+    assert list(shortest_path_stream(g, 0, 100, max_pops=1)) == []
+    with pytest.raises(NoPath) as info:
+        k_shortest_paths(g, 0, 100, 1)
+    assert not isinstance(info.value, SearchLimit)
 
 
 def test_diversified_disjoint_corridors():

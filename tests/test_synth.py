@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from pathrep import synth
 from pathrep.graph import validate_path
+from pathrep.sampling import shortest_path_stream
 from pathrep.synth import SynthConfig, gen_graph, gen_labels, gen_paths
 
 
@@ -43,6 +46,27 @@ def test_detour_factor_one_only_shortest():
     from pathrep.sampling import k_shortest_paths
     for p in corpus:
         assert p.nodes == k_shortest_paths(g, p.source, p.destination, 1)[0].nodes
+
+
+def test_paths_at_scale():
+    cfg = SynthConfig(grid_w=16, grid_h=16, n_paths=2000)
+    counters = {}
+    corpus = gen_paths(gen_graph(cfg), cfg, counters=counters)
+    assert len(corpus) == 2000
+    assert counters == {"skipped_od": 0, "search_limit_od": 0}
+
+
+def test_paths_count_skipped_and_limited_pairs(monkeypatch):
+    # one pop per search: only adjacent pairs give a path, and every
+    # search stops at the limit
+    monkeypatch.setattr(synth, "shortest_path_stream",
+                        functools.partial(shortest_path_stream, max_pops=1))
+    cfg = SynthConfig(grid_w=4, grid_h=4, n_paths=5)
+    counters = {}
+    corpus = gen_paths(gen_graph(cfg), cfg, counters=counters)
+    assert all(len(p.nodes) == 2 for p in corpus)
+    assert counters["skipped_od"] > 0
+    assert counters["search_limit_od"] >= counters["skipped_od"] + len(corpus)
 
 
 def test_detour_groups_exist(small_grid):
